@@ -8,7 +8,9 @@ matching, 2 usage/input error, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import operator
 import sys
 from fractions import Fraction
 
@@ -33,6 +35,14 @@ from .verifier import (
 )
 
 SCHEMA = "hyperext/1"
+
+_SWEEP_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.FloorDiv: operator.floordiv,
+}
+_SWEEP_CALLS = {"min": min, "max": max}
 
 
 def _read_hypergraph(path: str) -> core.Hypergraph:
@@ -134,6 +144,39 @@ def _cmd_verify_extremal(args) -> int:
     return 1 if report.status == COUNTEREXAMPLE else 0
 
 
+def _sweep_int(expr: str, names: dict[str, int]) -> int:
+    """Evaluate an integer literal, an earlier name, ``+ - * //``, unary minus,
+    parentheses and positional ``min``/``max``; anything else is a ValueError."""
+
+    def ev(node: ast.AST) -> int:
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -ev(node.operand)
+        if isinstance(node, ast.BinOp) and type(node.op) in _SWEEP_OPS:
+            left, right = ev(node.left), ev(node.right)
+            if isinstance(node.op, ast.FloorDiv) and right == 0:
+                raise ValueError(f"division by zero in sweep expression {expr!r}")
+            return _SWEEP_OPS[type(node.op)](left, right)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in _SWEEP_CALLS
+            and node.args
+            and not node.keywords
+        ):
+            return _SWEEP_CALLS[node.func.id](*(ev(a) for a in node.args))
+        raise ValueError(f"unsupported sweep expression {expr!r}")
+
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError:
+        raise ValueError(f"malformed sweep expression {expr!r}") from None
+    return ev(tree.body)
+
+
 def _parse_sweep_config(text: str) -> list[tuple[int, int, int, int]]:
     """Grammar: comma/newline-separated ``name=lo..hi`` (or ``name=expr``),
     where lo/hi are integer expressions over earlier names plus min/max.
@@ -168,16 +211,14 @@ def _parse_sweep_config(text: str) -> list[tuple[int, int, int, int]]:
         lo, sep, hi = rhs.partition("..")
         specs.append((name, lo.strip(), hi.strip() if sep else lo.strip()))
 
-    env_fns = {"min": min, "max": max}
-
     def expand(idx: int, binding: dict[str, int], out: list[dict[str, int]]):
         if idx == len(specs):
             out.append(dict(binding))
             return
         name, lo_expr, hi_expr = specs[idx]
-        lo = eval(lo_expr, {"__builtins__": {}}, {**env_fns, **binding})
-        hi = eval(hi_expr, {"__builtins__": {}}, {**env_fns, **binding})
-        for val in range(int(lo), int(hi) + 1):
+        lo = _sweep_int(lo_expr, binding)
+        hi = _sweep_int(hi_expr, binding)
+        for val in range(lo, hi + 1):
             binding[name] = val
             expand(idx + 1, binding, out)
         binding.pop(name, None)

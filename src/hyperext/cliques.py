@@ -1,17 +1,21 @@
 """Exact s-clique enumeration and counting for r-graphs.
 
-An s-clique is an s-vertex set all of whose r-subsets are edges.  The
-search extends partial cliques vertex by vertex in increasing label
-order; for each (r-1)-subset of the host's edges a precomputed extension
-mask records which vertices complete it to an edge, so candidate
-filtering is a handful of bitwise ANDs per step.
+An s-clique is an s-vertex set all of whose r-subsets are edges.  One
+walk serves counting, the per-size census and enumeration.  It extends
+partial cliques vertex by vertex in increasing label order; for each
+(r-1)-subset of the host's edges a precomputed extension mask records
+which vertices complete it to an edge, so candidate filtering is a
+handful of bitwise ANDs per step.  The walk counts the cliques of every
+size in a window and hands each clique of the top size to an optional
+visitor: enumeration collects them, per-vertex counting tallies their
+vertices, and plain counting holds none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import Hypergraph, iter_bits
 
@@ -38,92 +42,39 @@ def _extension_table(h: Hypergraph) -> dict[int, int]:
     return ext
 
 
-def _census(h: Hypergraph, max_s: int, per_vertex: bool) -> tuple[
-    dict[int, int], dict[int, dict[int, int]] | None
-]:
-    """Counts of s-cliques for every r <= s <= max_s in one search.
+def _walk(
+    h: Hypergraph, lo: int, hi: int, visit: Callable[[int], None] | None = None
+) -> dict[int, int]:
+    """Number of cliques of each size lo..hi; ``visit(mask)`` on each of size hi.
 
     Every partial set visited at depth >= r is itself a clique, because a
     vertex only enters the candidate mask after all (r-1)-subsets through
-    it have been checked against the extension table.
+    it have been checked against the extension table.  A branch is cut
+    once its depth plus its remaining candidates fall below ``lo``.
     """
     r = h.r
-    n = h.n
-    counts = {s: 0 for s in range(r, max_s + 1)}
-    pv: dict[int, dict[int, int]] | None = None
-    if per_vertex:
-        pv = {s: {v: 0 for v in range(1, n + 1)} for s in range(r, max_s + 1)}
-    if max_s < r or not h.edges:
-        return counts, pv
+    counts = dict.fromkeys(range(lo, hi + 1), 0)
+    if lo > h.n or not h.edges:
+        return counts
     ext = _extension_table(h)
     full = h.full_mask
-
-    if r == 1:
-        base = ext.get(0, 0)
-    else:
-        base = full
-
-    chosen: list[int] = []
-
-    def walk(cand: int, above: int) -> None:
-        m = len(chosen)
-        if m >= r:
-            counts[m] += 1
-            if pv is not None:
-                row = pv[m]
-                for b in chosen:
-                    row[b + 1] += 1
-        if m == max_s:
-            return
-        pool = cand & above
-        for v in iter_bits(pool):
-            vbit = 1 << v
-            if r == 1 or m + 1 < r - 1:
-                new_cand = cand
-            else:
-                new_cand = cand
-                for tup in combinations(chosen, r - 2):
-                    t = vbit
-                    for b in tup:
-                        t |= 1 << b
-                    new_cand &= ext.get(t, 0)
-                    if not new_cand and m + 1 < max_s:
-                        break
-            chosen.append(v)
-            walk(new_cand, full & ~((vbit << 1) - 1))
-            chosen.pop()
-
-    walk(base, full)
-    return counts, pv
-
-
-def enumerate_cliques(h: Hypergraph, s: int) -> Iterator[int]:
-    """Yield the s-cliques of ``h`` as vertex masks, in colex order."""
-    if s < h.r:
-        raise ValueError(f"clique size s={s} below uniformity r={h.r}")
-    found: list[int] = []
-    r = h.r
-    if s > h.n or not h.edges:
-        return iter(())
-    ext = _extension_table(h)
-    full = h.full_mask
-    base = ext.get(0, 0) if r == 1 else full
     chosen: list[int] = []
 
     def walk(mask: int, cand: int, above: int) -> None:
         m = len(chosen)
-        if m == s:
-            found.append(mask)
-            return
+        if m >= lo:
+            counts[m] += 1
+            if m == hi:
+                if visit is not None:
+                    visit(mask)
+                return
         pool = cand & above
-        if m + pool.bit_count() < s:
+        if m + pool.bit_count() < lo:
             return
         for v in iter_bits(pool):
             vbit = 1 << v
-            if r == 1 or m + 1 < r - 1:
-                new_cand = cand
-            else:
-                new_cand = cand
+            new_cand = cand
+            if r > 1 and m + 1 >= r - 1:
                 for tup in combinations(chosen, r - 2):
                     t = vbit
                     for b in tup:
@@ -135,7 +86,16 @@ def enumerate_cliques(h: Hypergraph, s: int) -> Iterator[int]:
             walk(mask | vbit, new_cand, full & ~((vbit << 1) - 1))
             chosen.pop()
 
-    walk(0, base, full)
+    walk(0, ext.get(0, 0) if r == 1 else full, full)
+    return counts
+
+
+def enumerate_cliques(h: Hypergraph, s: int) -> Iterator[int]:
+    """Yield the s-cliques of ``h`` as vertex masks, in colex order."""
+    if s < h.r:
+        raise ValueError(f"clique size s={s} below uniformity r={h.r}")
+    found: list[int] = []
+    _walk(h, s, s, found.append)
     found.sort()
     return iter(found)
 
@@ -144,22 +104,19 @@ def count_cliques(h: Hypergraph, s: int, per_vertex: bool = False) -> CliqueCoun
     """K_s^r(h), exactly; with K_s^r(u, h) per vertex when requested."""
     if s < h.r:
         raise ValueError(f"clique size s={s} below uniformity r={h.r}")
-    if s > h.n:
-        pv = {v: 0 for v in range(1, h.n + 1)} if per_vertex else None
-        return CliqueCount(s=s, total=0, per_vertex=pv)
-    counts, pv_all = _census(h, s, per_vertex)
-    return CliqueCount(
-        s=s,
-        total=counts[s],
-        per_vertex=pv_all[s] if pv_all is not None else None,
-    )
+    tally = [0] * h.n
+
+    def visit(mask: int) -> None:
+        for v in iter_bits(mask):
+            tally[v] += 1
+
+    total = _walk(h, s, s, visit if per_vertex else None)[s]
+    pv = {v + 1: c for v, c in enumerate(tally)} if per_vertex else None
+    return CliqueCount(s=s, total=total, per_vertex=pv)
 
 
 def clique_census(h: Hypergraph, max_s: int) -> dict[int, int]:
     """K_s^r(h) for every s in r..max_s, via a single search."""
     if max_s < h.r:
         return {}
-    counts, _ = _census(h, min(max_s, h.n), False)
-    for s in range(h.n + 1, max_s + 1):
-        counts[s] = 0
-    return counts
+    return _walk(h, h.r, max_s)

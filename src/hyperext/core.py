@@ -48,6 +48,19 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def r_subsets(n: int, r: int) -> Iterator[int]:
+    """Yield the masks of the r-subsets of [n] in ``itertools.combinations`` order.
+
+    That order is not colex; callers that need colex sort.  Seeded
+    generators draw from this order, so it must not change.
+    """
+    for c in combinations(range(n), r):
+        m = 0
+        for v in c:
+            m |= 1 << v
+        yield m
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """An r-uniform hypergraph on vertices 1..n with a canonical edge list.
@@ -106,8 +119,7 @@ class Hypergraph:
 
     @classmethod
     def complete(cls, n: int, r: int) -> "Hypergraph":
-        masks = [mask_from_labels(c) for c in combinations(range(1, n + 1), r)]
-        return cls.from_edge_masks(n, r, masks)
+        return cls.from_edge_masks(n, r, r_subsets(n, r))
 
     @classmethod
     def _make(cls, n: int, r: int, sorted_masks: tuple[int, ...]) -> "Hypergraph":

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from mpmath import iv
 
 from .cliques import count_cliques
-from .core import ColoredFamily, Hypergraph
+from .core import ColoredFamily, Hypergraph, r_subsets
 
 
 def binom(n: int, k: int) -> int:
@@ -70,13 +69,7 @@ def build_extremal_family(n: int, k: int, r: int, a: int) -> Hypergraph:
     if n < head:
         raise ValueError(f"need n >= ak+a-1 = {head}, got n={n}")
     head_mask = (1 << head) - 1
-    masks = []
-    for c in combinations(range(n), r):
-        m = 0
-        for v in c:
-            m |= 1 << v
-        if (m & head_mask).bit_count() >= a:
-            masks.append(m)
+    masks = [m for m in r_subsets(n, r) if (m & head_mask).bit_count() >= a]
     masks.sort()
     return Hypergraph._make(n, r, tuple(masks))
 
@@ -122,16 +115,20 @@ class InequalityVerdict:
 
 
 def _interval_holds(lhs: int, rhs_expr) -> bool:
-    """Rigorous lhs <= rhs via directed-rounding interval evaluation."""
-    for dps in (30, 60, 120, 240):
-        iv.dps = dps
-        rhs = rhs_expr()
-        if rhs.a >= lhs:
-            return True
-        if rhs.b < lhs:
-            return False
-    # interval still straddles lhs at 240 digits: report a conservative miss
-    return False
+    """Rigorous lhs <= rhs by directed-rounding intervals; restores ``iv.prec``."""
+    saved = iv.prec
+    try:
+        for dps in (30, 60, 120, 240):
+            iv.dps = dps
+            rhs = rhs_expr()
+            if rhs.a >= lhs:
+                return True
+            if rhs.b < lhs:
+                return False
+        # interval still straddles lhs at 240 digits: report a conservative miss
+        return False
+    finally:
+        iv.prec = saved
 
 
 def binomial_inequality_suite(

@@ -1,10 +1,14 @@
 """Matching number, rainbow matchings, and the greedy constructions.
 
-The matching number is computed by exhaustive branch and bound: branch
-on every edge through the lowest-indexed covered vertex versus
-discarding that vertex, pruning with floor(covered/r) plus the current
-depth.  Exactness is non-negotiable; exceeding the node budget raises
-instead of approximating.
+One exhaustive search decides whether a target number of pairwise
+disjoint edges exists: it branches on every edge through the
+lowest-indexed covered vertex versus discarding that vertex, and prunes
+when floor(covered/r) falls below the number of edges still needed.
+``has_matching_at_most(h, k)`` is one search with target k+1.
+``matching_number`` raises the target from 1 until the search fails;
+the last matching found is the witness, and its ``node_budget`` covers
+all rounds together.  Exactness is non-negotiable; exceeding the node
+budget raises instead of approximating.
 """
 
 from __future__ import annotations
@@ -70,66 +74,49 @@ class _Budget:
             raise BudgetExceededError("matching search node budget exceeded")
 
 
+def _find_matching(
+    avail: list[int], need: int, r: int, budget: _Budget
+) -> list[int] | None:
+    """``need`` pairwise-disjoint edges from ``avail`` (last pick first), or None."""
+    budget.spend()
+    if need <= 0:
+        return []
+    if len(avail) < need:
+        return None
+    cover = 0
+    for e in avail:
+        cover |= e
+    if cover.bit_count() // r < need:
+        return None
+    vbit = cover & -cover
+    for e in avail:
+        if e & vbit:
+            found = _find_matching([f for f in avail if not f & e], need - 1, r, budget)
+            if found is not None:
+                found.append(e)
+                return found
+    return _find_matching([f for f in avail if not f & vbit], need, r, budget)
+
+
 def matching_number(
     h: Hypergraph, node_budget: int | None = None
 ) -> tuple[int, Matching]:
     """Exact ν(h) and a maximum matching witnessing it."""
     budget = _Budget(node_budget)
+    edges = list(h.edges)
     best: list[int] = []
-    cur: list[int] = []
-    r = h.r
-
-    def rec(avail: list[int]) -> None:
-        budget.spend()
-        nonlocal best
-        if len(cur) > len(best):
-            best = cur.copy()
-        if not avail:
-            return
-        cover = 0
-        for e in avail:
-            cover |= e
-        if len(cur) + min(len(avail), cover.bit_count() // r) <= len(best):
-            return
-        vbit = cover & -cover
-        for e in avail:
-            if e & vbit:
-                cur.append(e)
-                rec([f for f in avail if not f & e])
-                cur.pop()
-        rec([f for f in avail if not f & vbit])
-
-    rec(list(h.edges))
-    return len(best), Matching(tuple(best))
-
-
-def _exists_matching(avail: list[int], need: int, r: int, budget: _Budget) -> bool:
-    """True iff ``need`` pairwise-disjoint edges can be picked from ``avail``."""
-    budget.spend()
-    if need <= 0:
-        return True
-    if len(avail) < need:
-        return False
-    cover = 0
-    for e in avail:
-        cover |= e
-    if cover.bit_count() // r < need:
-        return False
-    vbit = cover & -cover
-    for e in avail:
-        if e & vbit:
-            if _exists_matching([f for f in avail if not f & e], need - 1, r, budget):
-                return True
-    return _exists_matching([f for f in avail if not f & vbit], need, r, budget)
+    while True:
+        found = _find_matching(edges, len(best) + 1, h.r, budget)
+        if found is None:
+            return len(best), Matching(tuple(reversed(best)))
+        best = found
 
 
 def has_matching_at_most(
     h: Hypergraph, k: int, node_budget: int | None = None
 ) -> bool:
     """True iff ν(h) <= k; stops as soon as k+1 disjoint edges are found."""
-    if k < 0:
-        return not h.edges
-    return not _exists_matching(list(h.edges), k + 1, h.r, _Budget(node_budget))
+    return _find_matching(list(h.edges), k + 1, h.r, _Budget(node_budget)) is None
 
 
 def find_rainbow_matching(fam: ColoredFamily) -> RainbowMatching | None:

@@ -7,9 +7,8 @@ single integer seed reproduces a whole run byte for byte.
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
-from .core import ColoredFamily, Hypergraph
+from .core import ColoredFamily, Hypergraph, r_subsets
 from .extremal import binom
 
 
@@ -19,13 +18,7 @@ def random_hypergraph(
     """Each r-set kept independently; density drawn uniformly if omitted."""
     if density is None:
         density = rng.random()
-    masks = []
-    for c in combinations(range(n), r):
-        if rng.random() < density:
-            m = 0
-            for v in c:
-                m |= 1 << v
-            masks.append(m)
+    masks = [m for m in r_subsets(n, r) if rng.random() < density]
     masks.sort()
     return Hypergraph._make(n, r, tuple(masks))
 
@@ -39,12 +32,7 @@ def random_family_above_edge_threshold(
     guaranteed for n >= rk.
     """
     threshold = (k - 1) * binom(n - 1, r - 1)
-    universe = []
-    for c in combinations(range(n), r):
-        m = 0
-        for v in c:
-            m |= 1 << v
-        universe.append(m)
+    universe = list(r_subsets(n, r))
     if threshold >= len(universe):
         raise ValueError(
             f"edge threshold {threshold} not satisfiable with C({n},{r}) edges"

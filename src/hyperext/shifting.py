@@ -10,10 +10,9 @@ of the sorted-componentwise precedence order on r-sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterator
 
-from .core import Hypergraph, labels_from_mask
+from .core import Hypergraph, labels_from_mask, r_subsets
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -163,9 +162,7 @@ def enumerate_stable(
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if not 0 <= shard_index < shards:
         raise ValueError("need 0 <= shard_index < shards")
-    elements = sorted(
-        sum(1 << (v - 1) for v in c) for c in combinations(range(1, n + 1), r)
-    )
+    elements = sorted(r_subsets(n, r))
     m = len(elements)
     covers = [_covers(e) for e in elements]
     prefix_bits = min((shards - 1).bit_length(), m)

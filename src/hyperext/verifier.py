@@ -15,10 +15,9 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 
 from .cliques import count_cliques, enumerate_cliques
-from .core import ColoredFamily, Hypergraph, serialize
+from .core import ColoredFamily, Hypergraph, r_subsets, serialize
 from .extremal import (
     ExtremalParams,
     binom,
@@ -69,13 +68,7 @@ def stable_with_matching_at_most(n: int, r: int, k: int, **kw):
 
 def _all_hypergraphs(n: int, r: int):
     """Every r-graph on [n]; only for tiny C(n, r)."""
-    universe = []
-    for c in combinations(range(n), r):
-        m = 0
-        for v in c:
-            m |= 1 << v
-        universe.append(m)
-    universe.sort()
+    universe = sorted(r_subsets(n, r))
     m_count = len(universe)
     if m_count > 20:
         raise ValueError(

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from hyperext.core import Hypergraph
+from hypothesis import strategies as st
+
+from hyperext.core import Hypergraph, r_subsets
 
 # one line per acceptance criterion, printed after the run so the
 # verdicts survive pytest's output capture
@@ -20,6 +22,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@st.composite
+def hosts(draw, max_edges: int | None = None) -> Hypergraph:
+    """Random r-graphs with r in 1..4 and n <= 9, shrinking to the empty host.
+
+    Without ``max_edges`` every r-set is kept or not by one drawn bit, so
+    hosts are dense enough to hold large cliques.
+    """
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(r, 9))
+    universe = list(r_subsets(n, r))
+    if max_edges is None:
+        bits = draw(st.integers(0, (1 << len(universe)) - 1))
+        edges = [e for i, e in enumerate(universe) if bits >> i & 1]
+    else:
+        edges = draw(
+            st.lists(st.sampled_from(universe), unique=True, max_size=max_edges)
+        )
+    return Hypergraph.from_edge_masks(n, r, edges)
 
 
 def naive_clique_count(h: Hypergraph, s: int) -> int:

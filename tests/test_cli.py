@@ -170,6 +170,49 @@ class TestSweepConfigGrammar:
         for n, k, r, s in cells:
             assert r <= s and n <= 8
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (  # the grid.cfg of the README
+                "r=2..3\nk=1..2\ns=r..min(8, r*k+r-1)\nn=max(s, r*k+r)..10\n",
+                [
+                    (n, k, r, s)
+                    for r in (2, 3)
+                    for k in (1, 2)
+                    for s in range(r, min(8, r * k + r - 1) + 1)
+                    for n in range(max(s, r * k + r), 11)
+                ],
+            ),
+            (  # the grid of the sweep-wide benchmark workload
+                "r=3\nk=1\ns=3..5\nn=max(s, r*k+r)..14\n",
+                [(n, 1, 3, s) for s in (3, 4, 5) for n in range(max(s, 6), 15)],
+            ),
+            ("r=2, k=1, s=2, n=-(-9//2)..(7-1)*1", [(5, 1, 2, 2), (6, 1, 2, 2)]),
+        ],
+    )
+    def test_documented_grids(self, text, expected):
+        assert _parse_sweep_config(text) == expected
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "n=().__class__.__name__.__len__()..6",
+            "n=2**3",
+            "n=9/2",
+            "n=min(*[5])",
+            "n=max(5, key=abs)",
+            "n=5//0",
+            "n=x+1",
+            "n=True",
+            "n=",
+        ],
+    )
+    def test_expression_outside_grammar_exits_2(self, capsys, tmp_path, line):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{line}\nk=1\nr=2\ns=2\n")
+        code, out, err = run(capsys, "verify", "sweep", "--config", str(cfg))
+        assert code == 2 and out == "" and "sweep expression" in err
+
     def test_comments_and_newlines(self):
         cells = _parse_sweep_config("# grid\nn=5..6\nk=1\nr=2\ns=2")
         assert cells == [(5, 1, 2, 2), (6, 1, 2, 2)]

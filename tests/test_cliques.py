@@ -2,8 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import naive_clique_count
+from conftest import hosts, naive_clique_count
 from hyperext.cliques import clique_census, count_cliques, enumerate_cliques
 from hyperext.core import Hypergraph, delete_vertices, mask_from_labels
 from hyperext.extremal import build_extremal_family
@@ -119,3 +120,24 @@ class TestCensus:
             census = clique_census(h, 9)
             for s in range(h.r, 10):
                 assert census[s] == count_cliques(h, s).total
+
+
+class TestOneWalk:
+    """Counting, per-vertex counting, census and enumeration share one walk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hosts())
+    @example(Hypergraph(5, 2, ()))
+    @example(Hypergraph.from_edges(6, 1, [(1,), (3,), (4,), (6,)]))
+    def test_every_route_equals_oracle(self, h):
+        census = clique_census(h, h.n + 1)
+        for s in range(h.r, h.n + 2):
+            cc = count_cliques(h, s, per_vertex=True)
+            assert cc.total == naive_clique_count(h, s) == census[s]
+            assert count_cliques(h, s).total == cc.total
+            found = list(enumerate_cliques(h, s))
+            assert len(found) == cc.total and found == sorted(found)
+            assert cc.per_vertex == {
+                v: sum(c >> (v - 1) & 1 for c in found) for v in range(1, h.n + 1)
+            }
+            assert sum(cc.per_vertex.values()) == s * cc.total

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from hyperext.core import (
     mask_from_labels,
     neighborhood,
     parse,
+    r_subsets,
     serialize,
 )
 from hyperext.extremal import build_extremal_family
@@ -23,6 +25,13 @@ def masks(*edges):
 
 
 class TestConstruction:
+    def test_r_subsets_in_combinations_order(self):
+        for n in range(0, 10):
+            for r in range(0, n + 2):
+                assert list(r_subsets(n, r)) == [
+                    sum(1 << v for v in c) for c in combinations(range(n), r)
+                ]
+
     def test_edges_canonicalized_to_colex(self):
         h = Hypergraph.from_edges(4, 2, [(3, 4), (1, 2), (1, 3)])
         assert h.edge_labels() == [(1, 2), (1, 3), (3, 4)]

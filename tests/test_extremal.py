@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from mpmath import iv
 
 from conftest import naive_clique_count
 from hyperext.cliques import count_cliques
@@ -146,6 +147,11 @@ class TestInequalities:
                 for c in range(0, b + 1):
                     for v in binomial_inequality_suite(a, b, c):
                         assert v.holds is not False, (a, b, c, v)
+
+    def test_interval_precision_restored(self):
+        iv.dps = 15
+        binomial_inequality_suite(10, 5, 3)
+        assert iv.dps == 15
 
     def test_eq3_precondition(self):
         suite = binomial_inequality_suite(6, 3, 3)

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import naive_matching_number
+from conftest import hosts, naive_matching_number
 from hyperext.core import ColoredFamily, Hypergraph, degree, mask_from_labels
 from hyperext.extremal import binom, build_extremal_family
 from hyperext.matchings import (
@@ -92,6 +93,21 @@ class TestHasMatchingAtMost:
             nu, _ = matching_number(h)
             for k in range(0, 5):
                 assert has_matching_at_most(h, k) == (nu <= k)
+
+
+class TestOneSearch:
+    """matching_number and has_matching_at_most share one search."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hosts(max_edges=12))
+    @example(Hypergraph(5, 3, ()))  # ν = 0 > -1 = k on the empty host too
+    @example(Hypergraph.from_edges(5, 1, [(2,), (5,)]))
+    def test_both_routes_equal_oracle(self, h):
+        nu, wit = matching_number(h)
+        assert nu == naive_matching_number(h)
+        assert is_valid_matching(h, wit) and len(wit) == nu
+        for k in range(-1, nu + 2):
+            assert has_matching_at_most(h, k) == (nu <= k)
 
 
 class TestShiftMonotonicity:
