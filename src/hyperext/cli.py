@@ -2,7 +2,8 @@
 rainbow search, and verification sweeps with machine-readable output.
 
 Exit codes: 0 success/confirmed, 1 counterexample or no rainbow
-matching, 2 usage/input error, 3 budget exceeded.
+matching, 2 usage/input error, 3 budget exceeded, 4 a broken internal
+invariant of the search (status ``invariant-broken``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .matchings import (
 from .shifting import EnumerationBudgetError
 from .verifier import (
     COUNTEREXAMPLE,
+    INVARIANT_BROKEN,
     run_extremal_sweep,
     verify_extremal_cell,
 )
@@ -141,7 +143,14 @@ def _cmd_verify_extremal(args) -> int:
             f"regime {report.regime}: claimed {report.claimed_bound}, "
             f"observed {report.observed_max}, {report.status}"
         )
-    return 1 if report.status == COUNTEREXAMPLE else 0
+    return _exit_code([report])
+
+
+def _exit_code(reports) -> int:
+    statuses = {report.status for report in reports}
+    if INVARIANT_BROKEN in statuses:
+        return 4
+    return 1 if COUNTEREXAMPLE in statuses else 0
 
 
 def _sweep_int(expr: str, names: dict[str, int]) -> int:
@@ -239,18 +248,20 @@ def _cmd_verify_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cells = _parse_sweep_config(fh.read())
     reports = run_extremal_sweep(cells, jobs=args.jobs)
-    bad = 0
     for report in reports:
         print(report.to_json_line())
-        if report.status == COUNTEREXAMPLE:
-            bad += 1
-    return 1 if bad else 0
+    return _exit_code(reports)
 
 
 def _cmd_rainbow(args) -> int:
     members = tuple(_read_hypergraph(f) for f in args.files)
-    n = max(h.n for h in members)
     r = members[0].r
+    for path, h in zip(args.files, members):
+        if h.r != r:
+            raise ValueError(
+                f"{path} has r={h.r}, expected r={r} as in {args.files[0]}"
+            )
+    n = max(h.n for h in members)
     members = tuple(
         core.Hypergraph._make(n, r, h.edges) if h.n != n else h for h in members
     )

@@ -174,7 +174,10 @@ class ColoredFamily:
 def induced_subhypergraph(h: Hypergraph, s_mask: int) -> Hypergraph:
     """Edges of ``h`` entirely contained in ``s_mask``; labels preserved."""
     _check_vertex_mask(h, s_mask)
-    kept = tuple(e for e in h.edges if e & ~s_mask == 0)
+    # tuple() of a list, not of a generator: a generator's tuple is shrunk
+    # after filling, and CPython then parks it on the free list of its new
+    # size; in the stable-family walk those lists grew by megabytes
+    kept = tuple([e for e in h.edges if e & ~s_mask == 0])
     return Hypergraph._make(h.n, h.r, kept)
 
 

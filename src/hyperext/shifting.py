@@ -16,7 +16,12 @@ from .core import Hypergraph, labels_from_mask, r_subsets
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Stable-family enumeration exceeded its budget."""
+    """Stable-family enumeration exceeded its budget.
+
+    ``yielded`` is the number of leaves the walk had reached, i.e. passing
+    families whether or not they were yielded: with ``maximal`` most
+    leaves are not.
+    """
 
     def __init__(self, message: str, yielded: int):
         super().__init__(message)
@@ -142,21 +147,43 @@ def _covers(e: int) -> list[int]:
     return out
 
 
+def maximal_edges(h: Hypergraph) -> list[int]:
+    """The ≺-maximal edges of a stable ``h``, colex order.
+
+    An edge is maximal iff it is no immediate predecessor of another
+    edge, and removing one maximal edge from a downset leaves a downset.
+    """
+    below = {c for e in h.edges for c in _covers(e)}
+    return [e for e in h.edges if e not in below]
+
+
 def enumerate_stable(
     n: int,
     r: int,
-    predicate: Callable[[Hypergraph], bool] | None = None,
+    predicate: Callable[[Hypergraph, int], bool] | None = None,
     *,
+    maximal: bool = False,
     shards: int = 1,
     shard_index: int = 0,
     leaf_budget: int | None = None,
 ) -> Iterator[Hypergraph]:
-    """Yield every stable r-graph on [n], i.e. every downset of ≺.
+    """Yield the stable r-graphs on [n], i.e. the downsets of ≺, that pass.
 
-    ``predicate`` must be closed under taking sub-downsets (e.g. ν <= k):
-    a downset failing it is neither yielded nor extended, which prunes
-    the whole superset subtree.  ``shards``/``shard_index`` deterministically
-    partition the search on the first include/exclude decisions.
+    ``predicate(h, e)`` says whether the r-set ``e``, all of whose covers
+    are edges of ``h``, may join ``h``, a stable family that already
+    passes.  Passing must be closed under taking sub-downsets (e.g.
+    ν <= k): a rejected element is never included, which prunes the
+    whole superset subtree.  With ``maximal`` only the ⊆-maximal passing
+    families are yielded.  An excluded element whose covers were all
+    included and that the predicate accepted when excluded stays on a
+    stack; a leaf is maximal iff the predicate, asked again with the whole
+    family, rejects every element on it (newest first, stopping at the
+    first acceptance).  An element rejected when excluded needs no second
+    question, since the family only grows.
+
+    ``leaf_budget`` caps the leaves the walk reaches, yielded or not.
+    ``shards``/``shard_index`` deterministically partition the search on
+    the first include/exclude decisions.
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
@@ -169,38 +196,51 @@ def enumerate_stable(
 
     included: list[int] = []
     included_set: set[int] = set()
-    yielded = 0
+    addable: list[int] = []
+    reached = 0
+
+    def family() -> Hypergraph:
+        return Hypergraph._make(n, r, tuple(included))
 
     def charge() -> None:
-        nonlocal yielded
-        yielded += 1
-        if leaf_budget is not None and yielded > leaf_budget:
+        nonlocal reached
+        reached += 1
+        if leaf_budget is not None and reached > leaf_budget:
             raise EnumerationBudgetError(
                 f"stable enumeration budget exceeded after "
-                f"{yielded - 1} families",
-                yielded - 1,
+                f"{reached - 1} leaves",
+                reached - 1,
             )
+
+    def is_maximal(h: Hypergraph) -> bool:
+        if predicate is None:
+            return not addable
+        return not any(predicate(h, e) for e in reversed(addable))
 
     def walk(idx: int, prefix: int) -> Iterator[Hypergraph]:
         if idx == prefix_bits and prefix % shards != shard_index:
             return
         if idx == m:
             charge()
-            yield Hypergraph._make(n, r, tuple(included))
+            h = family()
+            if not maximal or is_maximal(h):
+                yield h
             return
         e = elements[idx]
+        in_prefix = idx < prefix_bits
+        ok = all(c in included_set for c in covers[idx]) and (
+            predicate is None or predicate(family(), e)
+        )
         # exclude branch first: families are emitted smallest-first
-        yield from walk(idx + 1, prefix << 1 if idx < prefix_bits else prefix)
-        if all(c in included_set for c in covers[idx]):
+        if ok and maximal:
+            addable.append(e)
+        yield from walk(idx + 1, prefix << 1 if in_prefix else prefix)
+        if ok:
+            if maximal:
+                addable.pop()
             included.append(e)
             included_set.add(e)
-            ok = predicate is None or predicate(
-                Hypergraph._make(n, r, tuple(included))
-            )
-            if ok:
-                yield from walk(
-                    idx + 1, (prefix << 1) | 1 if idx < prefix_bits else prefix
-                )
+            yield from walk(idx + 1, (prefix << 1) | 1 if in_prefix else prefix)
             included.pop()
             included_set.remove(e)
 

@@ -10,14 +10,14 @@ meta-check of that reduction at tiny sizes.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cliques import count_cliques, enumerate_cliques
-from .core import ColoredFamily, Hypergraph, r_subsets, serialize
+from .core import ColoredFamily, Hypergraph, delete_vertices, r_subsets, serialize
 from .extremal import (
     ExtremalParams,
     binom,
@@ -28,11 +28,12 @@ from .extremal import (
 )
 from .matchings import find_rainbow_matching, has_matching_at_most
 from .randgen import random_family_above_edge_threshold
-from .shifting import enumerate_stable
+from .shifting import enumerate_stable, maximal_edges
 
 CONFIRMED = "confirmed"
 BOUND_NOT_YET_ACTIVE = "bound-not-yet-active"
 COUNTEREXAMPLE = "counterexample"
+INVARIANT_BROKEN = "invariant-broken"
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,8 @@ class VerificationReport:
     status: str
     nodes: int
     millis: int
+    # regime III: the largest K_s^r below the bound (not in the JSON line)
+    second_best: int | None = None
 
     def to_json_line(self, *, omit_timing: bool = False) -> str:
         obj = {
@@ -62,8 +65,18 @@ class VerificationReport:
 
 
 def stable_with_matching_at_most(n: int, r: int, k: int, **kw):
-    """All stable r-graphs on [n] with ν <= k, via pruned downset search."""
-    return enumerate_stable(n, r, lambda h: has_matching_at_most(h, k), **kw)
+    """Stable r-graphs on [n] with ν <= k, via pruned downset search.
+
+    An r-set e may join a family h with ν(h) <= k iff the edges of h that
+    miss e have ν <= k-1, because k+1 disjoint edges of h ∪ {e} must use
+    e.  Keywords go to ``enumerate_stable`` (``maximal``, ``leaf_budget``).
+    """
+    return enumerate_stable(
+        n,
+        r,
+        lambda h, e: has_matching_at_most(delete_vertices(h, e), k - 1),
+        **kw,
+    )
 
 
 def _all_hypergraphs(n: int, r: int):
@@ -79,15 +92,43 @@ def _all_hypergraphs(n: int, r: int):
         yield Hypergraph._make(n, r, edges)
 
 
-def _regime_threshold(params: ExtremalParams) -> float:
-    k, r, s = params.k, params.r, params.s
+def _exceeds_e_power(q: Fraction, p: int) -> bool:
+    """Exactly: is q > e^p, for rational q and integer p >= 1?
+
+    The partial sums lo = Σ_{j<=N} 1/j! and hi = lo + 1/(N!·N) bracket e
+    strictly, and they tighten until q leaves [lo^p, hi^p]; that always
+    happens because e^p is irrational, so it never equals q.
+    """
+    lo = term = Fraction(1)
+    j = 0
+    while True:
+        j += 1
+        term /= j
+        lo += term
+        if (lo + term / j) ** p <= q:
+            return True
+        if lo**p >= q:
+            return False
+
+
+def _reaches_regime_threshold(params: ExtremalParams) -> bool:
+    """Whether n >= the n-threshold of the regime, decided exactly.
+
+    I: 4(er)^p k with p = s-r+2;  II: 4r²k (er/(a-1))^p with p = s-r+a;
+    III: rk+r-1.
+    """
+    n, k, r, s = params.n, params.k, params.r, params.s
     regime = params.regime
+    if regime == "III":
+        return n >= r * k + r - 1
     if regime == "I":
-        return 4 * (math.e * r) ** (s - r + 2) * k
-    if regime == "II":
+        p = s - r + 2
+        scale = Fraction(4 * r**p * k)
+    else:
         a = params.a
-        return 4 * r * r * k * (math.e * r / (a - 1)) ** (s - r + a)
-    return r * k + r - 1
+        p = s - r + a
+        scale = Fraction(4 * r * r * k) * Fraction(r, a - 1) ** p
+    return _exceeds_e_power(n / scale, p)
 
 
 def verify_extremal_cell(
@@ -101,8 +142,32 @@ def verify_extremal_cell(
 ) -> VerificationReport:
     """Max of K_s^r over (stable) r-graphs with ν <= k versus the bound.
 
+    K_s^r only grows when edges are added and ν <= k survives their
+    removal, so the maximum is attained on a ⊆-maximal stable family with
+    ν <= k; cliques are counted only there.
+
     In regime III the second-maximum gap is verified as well: a gap
-    violation is reported as a counterexample.
+    violation is reported as a counterexample.  The second best is the
+    largest K_s^r below the bound over all stable families with ν <= k.
+    Each such family F lies in a maximal one, M.  If K(M) is below the
+    bound, M is counted.  Otherwise some ≺-maximal edge m of M lies
+    outside F (else the downset F would contain M), so F ⊆ M - {m},
+    again a downset; repeating gives a chain from M down to F that
+    removes one maximal edge per step.  K_s^r falls weakly along it, from
+    at least the bound at M to below it at F, so the first member below
+    the bound has a value of at least K(F), and every member before it
+    is at or above the bound.  The search therefore descends from every
+    counted family at or above the bound through all its removals of one
+    maximal edge, onward from each child still at or above the bound,
+    and takes the values of the children below it: it meets that first
+    member.  One step, D - {m}, is not enough where D - {m} still
+    attains the bound.  The full enumeration counts every family and
+    needs no descent.
+
+    When n >= max(r, ak+a-1), the extremal family of the regime is itself
+    stable with ν <= k, so the maximum is at least the bound; a smaller
+    maximum means the search is broken and is reported as
+    ``invariant-broken``, never as a verdict.
     """
     start = time.monotonic()
     params = ExtremalParams(n=n, k=k, r=r, s=s)
@@ -117,27 +182,49 @@ def verify_extremal_cell(
             h for h in _all_hypergraphs(n, r) if has_matching_at_most(h, k)
         )
     else:
-        candidates = stable_with_matching_at_most(n, r, k, leaf_budget=leaf_budget)
+        candidates = stable_with_matching_at_most(
+            n, r, k, maximal=True, leaf_budget=leaf_budget
+        )
+    descended: set[tuple[int, ...]] = set()
+
+    def descend(h: Hypergraph) -> None:
+        nonlocal second_best, nodes
+        for m in maximal_edges(h):
+            child = Hypergraph._make(n, r, tuple([e for e in h.edges if e != m]))
+            if child.edges in descended:
+                continue
+            descended.add(child.edges)
+            nodes += 1
+            val = count_cliques(child, s).total
+            if val < bound:
+                second_best = max(second_best, val)
+            else:
+                descend(child)
+
     for h in candidates:
         nodes += 1
         val = count_cliques(h, s).total
         if val > observed:
             observed = val
             witness = h
-        if val < bound and val > second_best:
-            second_best = val
+        if val < bound:
+            second_best = max(second_best, val)
+        elif regime == "III" and not full_enumeration:
+            descend(h)
 
-    gap_ok = True
-    if regime == "III" and gap_bound is not None and n >= r * k + r - 1:
-        gap_ok = second_best <= gap_bound
-
-    if not gap_ok:
+    a = {"I": 1, "II": params.a, "III": r}[regime]
+    if n >= max(r, a * k + a - 1) and observed < bound:
+        status = INVARIANT_BROKEN
+    elif regime == "III" and n >= r * k + r - 1 and second_best > gap_bound:
         status = COUNTEREXAMPLE
     elif observed == bound:
         status = CONFIRMED
     elif observed > bound:
-        threshold = _regime_threshold(params)
-        status = COUNTEREXAMPLE if n >= threshold else BOUND_NOT_YET_ACTIVE
+        status = (
+            COUNTEREXAMPLE
+            if _reaches_regime_threshold(params)
+            else BOUND_NOT_YET_ACTIVE
+        )
     else:
         status = BOUND_NOT_YET_ACTIVE
 
@@ -151,6 +238,7 @@ def verify_extremal_cell(
         status=status,
         nodes=nodes,
         millis=millis,
+        second_best=second_best if regime == "III" else None,
     )
 
 

@@ -10,7 +10,12 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from hyperext.cliques import count_cliques
 from hyperext.core import Hypergraph, r_subsets
+from hyperext.extremal import ExtremalParams, theorem_bound
+from hyperext.matchings import has_matching_at_most
+from hyperext.shifting import enumerate_stable
+from hyperext.verifier import _reaches_regime_threshold
 
 # one line per acceptance criterion, printed after the run so the
 # verdicts survive pytest's output capture
@@ -95,3 +100,49 @@ def naive_downset_count(n: int, r: int) -> int:
         ):
             count += 1
     return count
+
+
+def nu_at_most_from_scratch(k: int):
+    """The (h, e) walk predicate that tests ν(h ∪ {e}) <= k on the whole family."""
+
+    def pred(h: Hypergraph, e: int) -> bool:
+        grown = Hypergraph._make(h.n, h.r, tuple(sorted(h.edges + (e,))))
+        return has_matching_at_most(grown, k)
+
+    return pred
+
+
+def all_leaves_cell(n: int, k: int, r: int, s: int) -> dict:
+    """``verify_extremal_cell`` the slow way: cliques counted at every leaf.
+
+    Every stable family with ν <= k is a leaf of the unpruned-by-maximality
+    walk, so the maximum and the largest value below the bound are read
+    off directly.  The status follows the rules of the verifier's docstring.
+    """
+    params = ExtremalParams(n=n, k=k, r=r, s=s)
+    bound, regime, gap = theorem_bound(params)
+    values = [
+        count_cliques(h, s).total
+        for h in enumerate_stable(n, r, nu_at_most_from_scratch(k))
+    ]
+    observed = max(values)
+    second = max((v for v in values if v < bound), default=0)
+    a = {"I": 1, "II": params.a, "III": r}[regime]
+    if n >= max(r, a * k + a - 1) and observed < bound:
+        status = "invariant-broken"
+    elif regime == "III" and n >= r * k + r - 1 and second > gap:
+        status = "counterexample"
+    elif observed == bound:
+        status = "confirmed"
+    elif observed > bound:
+        above = _reaches_regime_threshold(params)
+        status = "counterexample" if above else "bound-not-yet-active"
+    else:
+        status = "bound-not-yet-active"
+    return {
+        "regime": regime,
+        "claimed_bound": bound,
+        "observed_max": observed,
+        "status": status,
+        "second_best": second if regime == "III" else None,
+    }

@@ -161,6 +161,24 @@ class TestVerify:
         assert [json.loads(l)["cell"]["n"] for l in lines] == [5, 6, 7]
         assert all(json.loads(l)["status"] == "confirmed" for l in lines)
 
+    def test_broken_invariant_exits_4(self, capsys, monkeypatch, tmp_path):
+        from hyperext import verifier
+
+        # a ν test that rejects every edge leaves only the empty family
+        monkeypatch.setattr(verifier, "has_matching_at_most", lambda h, k: False)
+        code, out, _ = run(
+            capsys, "verify", "extremal", "--n", "6", "--k", "1", "--r", "2", "--s", "2"
+        )
+        assert code == 4
+        assert "invariant-broken" in out
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("r=2, k=1, s=2, n=5..6\n")
+        code, out, _ = run(capsys, "verify", "sweep", "--config", str(cfg))
+        assert code == 4
+        assert [json.loads(l)["status"] for l in out.splitlines()] == [
+            "invariant-broken"
+        ] * 2
+
 
 class TestSweepConfigGrammar:
     def test_ranges_and_dependent_expressions(self):
@@ -242,6 +260,17 @@ class TestRainbow:
         code, out, _ = run(capsys, "rainbow", str(f), str(f))
         assert code == 1
         assert out.strip() == "none"
+
+    def test_member_with_other_r_exit_2(self, capsys, tmp_path):
+        f3 = tmp_path / "a.hg"
+        f2 = tmp_path / "b.hg"
+        f3.write_text("5 3\n3 4 5\n")
+        f2.write_text("4 2\n1 2\n")
+        for files in ([f3, f2], [f2, f3]):
+            code, out, err = run(capsys, "rainbow", *map(str, files))
+            assert code == 2
+            assert out == ""
+            assert "error:" in err
 
     def test_hypothesis_lines(self, capsys, tmp_path):
         files = []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import naive_downset_count
+from conftest import naive_downset_count, nu_at_most_from_scratch
 from hyperext.cliques import count_cliques
 from hyperext.core import Hypergraph, mask_from_labels
 from hyperext.extremal import build_extremal_family
@@ -12,6 +12,7 @@ from hyperext.shifting import (
     EnumerationBudgetError,
     enumerate_stable,
     is_stable,
+    maximal_edges,
     precedes,
     shift,
     stabilize,
@@ -178,7 +179,10 @@ class TestEnumerateStable:
             assert is_stable(h)
 
     def test_predicate_prunes_consistently(self):
-        pred = lambda h: matching_number(h)[0] <= 1
+        def pred(h, e):
+            grown = Hypergraph.from_edge_masks(5, 2, h.edges + (e,))
+            return matching_number(grown)[0] <= 1
+
         filtered = {h.edges for h in enumerate_stable(5, 2, pred)}
         manual = {
             h.edges for h in enumerate_stable(5, 2) if matching_number(h)[0] <= 1
@@ -194,6 +198,41 @@ class TestEnumerateStable:
                 for h in enumerate_stable(5, 2, shards=4, shard_index=idx)
             )
         assert sorted(pieces) == whole
+
+    @pytest.mark.parametrize(
+        "n, r, k",
+        [
+            (5, 2, None), (6, 2, 1), (6, 2, 2), (7, 2, 2),
+            (6, 3, 1), (7, 3, 1), (6, 4, 1), (5, 1, 2),
+        ],
+    )
+    def test_maximal_yields_the_maximal_members(self, n, r, k):
+        pred = None if k is None else nu_at_most_from_scratch(k)
+        every = [set(h.edges) for h in enumerate_stable(n, r, pred)]
+        maximal = [
+            sorted(f) for f in every if not any(f < g for g in every)
+        ]
+        got = [list(h.edges) for h in enumerate_stable(n, r, pred, maximal=True)]
+        assert got == [f for f in map(sorted, every) if f in maximal]
+        pieces = [
+            list(h.edges)
+            for idx in range(3)
+            for h in enumerate_stable(
+                n, r, pred, maximal=True, shards=3, shard_index=idx
+            )
+        ]
+        assert sorted(pieces) == sorted(got)
+
+    def test_maximal_edges_are_the_removable_ones(self):
+        for h in enumerate_stable(5, 2):
+            removable = [
+                e
+                for e in h.edges
+                if stable_closure_check(
+                    Hypergraph._make(5, 2, tuple(f for f in h.edges if f != e))
+                )
+            ]
+            assert maximal_edges(h) == removable
 
     def test_budget_error_carries_progress(self):
         with pytest.raises(EnumerationBudgetError) as info:

@@ -1,15 +1,21 @@
 import json
+from math import comb
 
 import pytest
+from mpmath import mp
 
-from hyperext.cliques import count_cliques
-from hyperext.extremal import binom, closed_form_clique_count
+from conftest import all_leaves_cell, nu_at_most_from_scratch
+from hyperext import verifier
+from hyperext.cliques import CliqueCount, count_cliques
+from hyperext.extremal import ExtremalParams, binom, closed_form_clique_count
 from hyperext.matchings import matching_number
-from hyperext.shifting import is_stable
+from hyperext.shifting import EnumerationBudgetError, enumerate_stable, is_stable
 from hyperext.verifier import (
     BOUND_NOT_YET_ACTIVE,
     CONFIRMED,
+    INVARIANT_BROKEN,
     VerificationReport,
+    _reaches_regime_threshold,
     run_extremal_sweep,
     stable_with_matching_at_most,
     verify_extremal_cell,
@@ -64,6 +70,7 @@ class TestExtremalCell:
             slow = verify_extremal_cell(n, k, r, s, full_enumeration=True)
             assert fast.observed_max == slow.observed_max
             assert fast.status == slow.status
+            assert fast.second_best == slow.second_best
 
     def test_full_enumeration_refuses_large_universe(self):
         with pytest.raises(ValueError, match="2\\^20"):
@@ -86,6 +93,95 @@ class TestExtremalCell:
         assert obj["status"] == CONFIRMED
         assert obj["claimed_bound"] == "5"
         assert obj["millis"] == 0
+
+
+def _small_cells(max_universe: int):
+    for r in range(1, 5):
+        for k in range(1, 4):
+            for s in range(r, r * k + r):
+                n = r
+                while comb(n, r) <= max_universe:
+                    yield n, k, r, s
+                    n += 1
+
+
+class TestMaximalOnlySearch:
+    def test_agrees_with_counting_at_every_leaf(self):
+        cells = list(_small_cells(45))
+        assert len(cells) > 500
+        for cell in cells:
+            rep = verify_extremal_cell(*cell)
+            got = {
+                "regime": rep.regime,
+                "claimed_bound": rep.claimed_bound,
+                "observed_max": rep.observed_max,
+                "status": rep.status,
+                "second_best": rep.second_best,
+            }
+            assert got == all_leaves_cell(*cell), cell
+
+    def test_counts_only_maximal_families(self):
+        rep = verify_extremal_cell(7, 2, 2, 3)
+        maximal = list(enumerate_stable(7, 2, nu_at_most_from_scratch(2), maximal=True))
+        assert rep.nodes == len(maximal)
+        assert rep.witness in maximal
+
+    def test_second_best_descends_past_families_at_the_bound(self, monkeypatch):
+        # valued by edge count, no single removal takes a maximal family
+        # with nu <= 2 on [7] from the top down to below the bound of 5
+        monkeypatch.setattr(
+            verifier, "count_cliques", lambda h, s: CliqueCount(s, len(h.edges))
+        )
+        rep = verify_extremal_cell(7, 2, 2, 4)
+        assert rep.regime == "III" and rep.claimed_bound == 5
+        sizes = [
+            len(h.edges) for h in enumerate_stable(7, 2, nu_at_most_from_scratch(2))
+        ]
+        assert rep.second_best == max(v for v in sizes if v < 5) == 4
+        assert min(
+            len(h.edges)
+            for h in enumerate_stable(7, 2, nu_at_most_from_scratch(2), maximal=True)
+        ) > 6
+
+    def test_leaf_budget_counts_every_leaf_reached(self):
+        with pytest.raises(EnumerationBudgetError) as info:
+            verify_extremal_cell(9, 2, 3, 5, leaf_budget=1000)
+        assert info.value.yielded == 1000
+
+    def test_broken_invariant_is_reported(self, monkeypatch):
+        monkeypatch.setattr(verifier, "has_matching_at_most", lambda h, k: False)
+        rep = verify_extremal_cell(6, 1, 2, 2)
+        assert rep.observed_max == 0 < rep.claimed_bound
+        assert rep.status == INVARIANT_BROKEN
+        # below the head size rk+r-1 = 5 the same shortfall is no breach
+        assert verify_extremal_cell(4, 2, 2, 5).status == BOUND_NOT_YET_ACTIVE
+
+
+def _threshold_mp(p: ExtremalParams):
+    k, r, s = p.k, p.r, p.s
+    if p.regime == "I":
+        return 4 * (mp.e * r) ** (s - r + 2) * k
+    a = p.a
+    return 4 * r * r * k * (mp.e * r / (a - 1)) ** (s - r + a)
+
+
+def test_regime_threshold_is_exact():
+    checked = 0
+    with mp.workdps(60):
+        for k in range(1, 7):
+            for r in range(1, 6):
+                for s in range(r, (r - 1) * (k + 1) + 1):
+                    t = _threshold_mp(ExtremalParams(1, k, r, s))
+                    if t > mp.mpf(10) ** 40:
+                        continue
+                    f = int(mp.floor(t))
+                    for n in {1, max(f - 1, 1), max(f, 1), f + 1, f + 2}:
+                        got = _reaches_regime_threshold(ExtremalParams(n, k, r, s))
+                        assert got == (n >= t), (n, k, r, s)
+                        checked += 1
+    assert checked > 300
+    # a float from math.e gets this one wrong
+    assert not _reaches_regime_threshold(ExtremalParams(179202002907511, 4, 5, 16))
 
 
 class TestRegimeIIIGap:
@@ -116,6 +212,10 @@ class TestProposition:
             rep = verify_proposition_3_2(n, k, r, s)
             assert rep.status == CONFIRMED
             assert rep.observed_max == 0
+            # the precondition is not monotone: every family is visited
+            assert rep.nodes == sum(
+                1 for _ in enumerate_stable(n, r, nu_at_most_from_scratch(k))
+            )
 
     def test_domain_check(self):
         with pytest.raises(ValueError):
