@@ -32,11 +32,10 @@ from .shifting import EnumerationBudgetError
 from .verifier import (
     COUNTEREXAMPLE,
     INVARIANT_BROKEN,
+    SCHEMA,
     run_extremal_sweep,
     verify_extremal_cell,
 )
-
-SCHEMA = "hyperext/1"
 
 _SWEEP_OPS = {
     ast.Add: operator.add,
@@ -132,7 +131,6 @@ def _cmd_verify_extremal(args) -> int:
         args.k,
         args.r,
         args.s,
-        full_enumeration=args.full_enumeration,
         leaf_budget=args.budget,
     )
     if args.format == "json":
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--k", type=int, required=True)
     pv.add_argument("--r", type=int, required=True)
     pv.add_argument("--s", type=int, required=True)
-    pv.add_argument("--full-enumeration", action="store_true")
     pv.add_argument("--budget", type=int, default=None)
     pv.add_argument("--format", choices=("text", "json"), default="text")
     pv.set_defaults(func=_cmd_verify_extremal)

@@ -87,6 +87,7 @@ def _walk(
             chosen.pop()
 
     walk(0, ext.get(0, 0) if r == 1 else full, full)
+    del walk  # the closure refers to itself; unlink it for refcounting
     return counts
 
 

@@ -163,8 +163,6 @@ def enumerate_stable(
     predicate: Callable[[Hypergraph, int], bool] | None = None,
     *,
     maximal: bool = False,
-    shards: int = 1,
-    shard_index: int = 0,
     leaf_budget: int | None = None,
 ) -> Iterator[Hypergraph]:
     """Yield the stable r-graphs on [n], i.e. the downsets of ≺, that pass.
@@ -182,17 +180,12 @@ def enumerate_stable(
     question, since the family only grows.
 
     ``leaf_budget`` caps the leaves the walk reaches, yielded or not.
-    ``shards``/``shard_index`` deterministically partition the search on
-    the first include/exclude decisions.
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if not 0 <= shard_index < shards:
-        raise ValueError("need 0 <= shard_index < shards")
     elements = sorted(r_subsets(n, r))
     m = len(elements)
     covers = [_covers(e) for e in elements]
-    prefix_bits = min((shards - 1).bit_length(), m)
 
     included: list[int] = []
     included_set: set[int] = set()
@@ -217,9 +210,7 @@ def enumerate_stable(
             return not addable
         return not any(predicate(h, e) for e in reversed(addable))
 
-    def walk(idx: int, prefix: int) -> Iterator[Hypergraph]:
-        if idx == prefix_bits and prefix % shards != shard_index:
-            return
+    def walk(idx: int) -> Iterator[Hypergraph]:
         if idx == m:
             charge()
             h = family()
@@ -227,21 +218,20 @@ def enumerate_stable(
                 yield h
             return
         e = elements[idx]
-        in_prefix = idx < prefix_bits
         ok = all(c in included_set for c in covers[idx]) and (
             predicate is None or predicate(family(), e)
         )
         # exclude branch first: families are emitted smallest-first
         if ok and maximal:
             addable.append(e)
-        yield from walk(idx + 1, prefix << 1 if in_prefix else prefix)
+        yield from walk(idx + 1)
         if ok:
             if maximal:
                 addable.pop()
             included.append(e)
             included_set.add(e)
-            yield from walk(idx + 1, (prefix << 1) | 1 if in_prefix else prefix)
+            yield from walk(idx + 1)
             included.pop()
             included_set.remove(e)
 
-    yield from walk(0, 0)
+    yield from walk(0)

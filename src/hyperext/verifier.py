@@ -3,8 +3,8 @@
 The search space is reduced to stable hypergraphs: shifting never
 decreases clique counts and never increases the matching number, so the
 maximum of K_s^r over all r-graphs with ν <= k is attained on a stable
-one.  A slow full-enumeration mode over every edge subset exists as a
-meta-check of that reduction at tiny sizes.
+one.  The downset walk of ``shifting.enumerate_stable`` is the only
+search.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cliques import count_cliques, enumerate_cliques
-from .core import ColoredFamily, Hypergraph, delete_vertices, r_subsets, serialize
+from .core import ColoredFamily, Hypergraph, delete_vertices, serialize
 from .extremal import (
     ExtremalParams,
     binom,
@@ -35,6 +35,8 @@ BOUND_NOT_YET_ACTIVE = "bound-not-yet-active"
 COUNTEREXAMPLE = "counterexample"
 INVARIANT_BROKEN = "invariant-broken"
 
+SCHEMA = "hyperext/1"
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -51,7 +53,7 @@ class VerificationReport:
 
     def to_json_line(self, *, omit_timing: bool = False) -> str:
         obj = {
-            "schema": "hyperext/1",
+            "schema": SCHEMA,
             "cell": self.cell,
             "regime": self.regime,
             "claimed_bound": str(self.claimed_bound),
@@ -77,19 +79,6 @@ def stable_with_matching_at_most(n: int, r: int, k: int, **kw):
         lambda h, e: has_matching_at_most(delete_vertices(h, e), k - 1),
         **kw,
     )
-
-
-def _all_hypergraphs(n: int, r: int):
-    """Every r-graph on [n]; only for tiny C(n, r)."""
-    universe = sorted(r_subsets(n, r))
-    m_count = len(universe)
-    if m_count > 20:
-        raise ValueError(
-            f"full enumeration over 2^{m_count} edge subsets refused (max 2^20)"
-        )
-    for bits in range(1 << m_count):
-        edges = tuple(universe[i] for i in range(m_count) if bits >> i & 1)
-        yield Hypergraph._make(n, r, edges)
 
 
 def _exceeds_e_power(q: Fraction, p: int) -> bool:
@@ -137,7 +126,6 @@ def verify_extremal_cell(
     r: int,
     s: int,
     *,
-    full_enumeration: bool = False,
     leaf_budget: int | None = None,
 ) -> VerificationReport:
     """Max of K_s^r over (stable) r-graphs with ν <= k versus the bound.
@@ -161,8 +149,7 @@ def verify_extremal_cell(
     maximal edge, onward from each child still at or above the bound,
     and takes the values of the children below it: it meets that first
     member.  One step, D - {m}, is not enough where D - {m} still
-    attains the bound.  The full enumeration counts every family and
-    needs no descent.
+    attains the bound.
 
     When n >= max(r, ak+a-1), the extremal family of the regime is itself
     stable with ν <= k, so the maximum is at least the bound; a smaller
@@ -177,14 +164,6 @@ def verify_extremal_cell(
     witness: Hypergraph | None = None
     second_best = 0
     nodes = 0
-    if full_enumeration:
-        candidates = (
-            h for h in _all_hypergraphs(n, r) if has_matching_at_most(h, k)
-        )
-    else:
-        candidates = stable_with_matching_at_most(
-            n, r, k, maximal=True, leaf_budget=leaf_budget
-        )
     descended: set[tuple[int, ...]] = set()
 
     def descend(h: Hypergraph) -> None:
@@ -201,7 +180,9 @@ def verify_extremal_cell(
             else:
                 descend(child)
 
-    for h in candidates:
+    for h in stable_with_matching_at_most(
+        n, r, k, maximal=True, leaf_budget=leaf_budget
+    ):
         nodes += 1
         val = count_cliques(h, s).total
         if val > observed:
@@ -209,7 +190,7 @@ def verify_extremal_cell(
             witness = h
         if val < bound:
             second_best = max(second_best, val)
-        elif regime == "III" and not full_enumeration:
+        elif regime == "III":
             descend(h)
 
     a = {"I": 1, "II": params.a, "III": r}[regime]

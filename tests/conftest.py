@@ -112,19 +112,17 @@ def nu_at_most_from_scratch(k: int):
     return pred
 
 
-def all_leaves_cell(n: int, k: int, r: int, s: int) -> dict:
-    """``verify_extremal_cell`` the slow way: cliques counted at every leaf.
+def _cell_from_families(n: int, k: int, r: int, s: int, families) -> dict:
+    """The verdict on a cell, with cliques counted on every given family.
 
-    Every stable family with ν <= k is a leaf of the unpruned-by-maximality
-    walk, so the maximum and the largest value below the bound are read
-    off directly.  The status follows the rules of the verifier's docstring.
+    ``families`` must hold a maximizer and every family whose value is
+    the largest below the bound, so the maximum and the second best are
+    read off directly.  The status follows the rules of the verifier's
+    docstring.
     """
     params = ExtremalParams(n=n, k=k, r=r, s=s)
     bound, regime, gap = theorem_bound(params)
-    values = [
-        count_cliques(h, s).total
-        for h in enumerate_stable(n, r, nu_at_most_from_scratch(k))
-    ]
+    values = [count_cliques(h, s).total for h in families]
     observed = max(values)
     second = max((v for v in values if v < bound), default=0)
     a = {"I": 1, "II": params.a, "III": r}[regime]
@@ -146,3 +144,26 @@ def all_leaves_cell(n: int, k: int, r: int, s: int) -> dict:
         "status": status,
         "second_best": second if regime == "III" else None,
     }
+
+
+def all_leaves_cell(n: int, k: int, r: int, s: int) -> dict:
+    """``verify_extremal_cell`` the slow way: cliques counted at every
+    stable family with ν <= k, not only at the maximal ones."""
+    families = enumerate_stable(n, r, nu_at_most_from_scratch(k))
+    return _cell_from_families(n, k, r, s, families)
+
+
+def every_graph_cell(n: int, k: int, r: int, s: int) -> dict:
+    """``verify_extremal_cell`` without the stable reduction: cliques
+    counted on every r-graph on [n] with ν <= k."""
+    universe = list(r_subsets(n, r))
+    m = len(universe)
+    assert m <= 15, "oracle only for tiny universes"
+    graphs = (
+        Hypergraph.from_edge_masks(
+            n, r, [e for i, e in enumerate(universe) if bits >> i & 1]
+        )
+        for bits in range(1 << m)
+    )
+    families = (h for h in graphs if has_matching_at_most(h, k))
+    return _cell_from_families(n, k, r, s, families)

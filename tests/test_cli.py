@@ -151,6 +151,16 @@ class TestVerify:
         assert obj["status"] == "confirmed"
         assert obj["observed_max"] == "5"
 
+    def test_full_enumeration_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(
+                capsys,
+                "verify", "extremal", "--n", "5", "--k", "1", "--r", "2", "--s", "2",
+                "--full-enumeration",
+            )
+        assert info.value.code == 2
+        assert "--full-enumeration" in capsys.readouterr().err
+
     def test_sweep_config_and_jsonl(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("r=2, k=1, s=2, n=5..7\n")

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -110,6 +111,23 @@ class TestCount:
     def test_s_above_n_is_zero(self):
         h = Hypergraph.complete(4, 2)
         assert count_cliques(h, 5).total == 0
+
+    def test_no_reference_cycle_left_behind(self):
+        h = build_extremal_family(9, 2, 3, 1)
+        routes = [
+            lambda: count_cliques(h, 4),
+            lambda: count_cliques(h, 4, per_vertex=True),
+            lambda: clique_census(h, 9),
+            lambda: list(enumerate_cliques(h, 4)),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for route in routes:
+                route()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCensus:

@@ -2,7 +2,9 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
 
+from conftest import hosts
 from hyperext.core import (
     Hypergraph,
     HypergraphFormatError,
@@ -151,12 +153,11 @@ class TestFileFormat:
         h = Hypergraph.from_edges(3, 2, [(1, 3), (1, 2)])
         assert serialize(h) == "3 2\n1 2\n1 3\n"
 
-    def test_roundtrip_fixpoint(self):
-        rng = random.Random(6)
-        for _ in range(100):
-            n = rng.randint(2, 9)
-            h = random_hypergraph(rng, n, rng.randint(1, min(4, n)))
-            assert parse(serialize(h)) == h
+    @settings(max_examples=150, deadline=None)
+    @given(hosts())
+    @example(Hypergraph(5, 2, ()))
+    def test_roundtrip_fixpoint(self, h):
+        assert parse(serialize(h)) == h
 
     def test_parse_canonicalizes_order(self):
         messy = "3 2\n2 3\n1 2\n"

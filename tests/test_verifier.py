@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from mpmath import mp
 
-from conftest import all_leaves_cell, nu_at_most_from_scratch
+from conftest import all_leaves_cell, every_graph_cell, nu_at_most_from_scratch
 from hyperext import verifier
 from hyperext.cliques import CliqueCount, count_cliques
 from hyperext.extremal import ExtremalParams, binom, closed_form_clique_count
@@ -67,14 +67,10 @@ class TestExtremalCell:
     def test_full_enumeration_agrees_with_stable_reduction(self):
         for n, k, r, s in [(5, 1, 2, 2), (5, 1, 2, 3), (6, 2, 2, 2), (5, 1, 3, 3)]:
             fast = verify_extremal_cell(n, k, r, s)
-            slow = verify_extremal_cell(n, k, r, s, full_enumeration=True)
-            assert fast.observed_max == slow.observed_max
-            assert fast.status == slow.status
-            assert fast.second_best == slow.second_best
-
-    def test_full_enumeration_refuses_large_universe(self):
-        with pytest.raises(ValueError, match="2\\^20"):
-            verify_extremal_cell(8, 1, 2, 2, full_enumeration=True)
+            slow = every_graph_cell(n, k, r, s)
+            assert fast.observed_max == slow["observed_max"]
+            assert fast.status == slow["status"]
+            assert fast.second_best == slow["second_best"]
 
     def test_small_n_regime_iii_not_yet_active(self):
         # n below rk+r-1 cannot host the complete-head family
