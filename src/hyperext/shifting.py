@@ -4,7 +4,17 @@ S_ij replaces vertex j by vertex i in an edge when i is absent and the
 replacement is not already an edge; it preserves edge count, never
 decreases clique counts, and never increases the matching number.  A
 stable r-graph is fixed by every S_ij with i < j, equivalently a downset
-of the sorted-componentwise precedence order on r-sets.
+of the sorted-componentwise precedence order ≺ on r-sets.
+
+``enumerate_stable`` walks those downsets that pass a predicate closed
+under sub-downsets.  It takes one step per passing family: each family
+holds its candidate list, the r-sets after its colex-last edge whose
+covers (immediate ≺-predecessors) are all in it, kept up to date by
+counting each r-set's missing covers.  A candidate the predicate rejects
+is never asked about again below that family.  The families come in the
+order of the plain per-element walk that excludes each r-set before it
+includes it, the ``maximal`` filter keeps the same families, and
+``leaf_budget`` counts the same families; ``enumerate_stable`` says why.
 """
 
 from __future__ import annotations
@@ -18,9 +28,9 @@ from .core import Hypergraph, labels_from_mask, r_subsets
 class EnumerationBudgetError(RuntimeError):
     """Stable-family enumeration exceeded its budget.
 
-    ``yielded`` is the number of leaves the walk had reached, i.e. passing
-    families whether or not they were yielded: with ``maximal`` most
-    leaves are not.
+    ``yielded`` is the number of passing families the walk had reached
+    (its leaves, in the message), whether or not they were yielded: with
+    ``maximal`` most are not.
     """
 
     def __init__(self, message: str, yielded: int):
@@ -170,33 +180,60 @@ def enumerate_stable(
     ``predicate(h, e)`` says whether the r-set ``e``, all of whose covers
     are edges of ``h``, may join ``h``, a stable family that already
     passes.  Passing must be closed under taking sub-downsets (e.g.
-    ν <= k): a rejected element is never included, which prunes the
-    whole superset subtree.  With ``maximal`` only the ⊆-maximal passing
-    families are yielded.  An excluded element whose covers were all
-    included and that the predicate accepted when excluded stays on a
-    stack; a leaf is maximal iff the predicate, asked again with the whole
-    family, rejects every element on it (newest first, stopping at the
-    first acceptance).  An element rejected when excluded needs no second
-    question, since the family only grows.
+    ν <= k).
 
-    ``leaf_budget`` caps the leaves the walk reaches, yielded or not.
+    Each passing family D is one node of a tree; its children are D plus
+    one r-set after D's colex-last edge.  The colex-last edge of a downset
+    is ≺-maximal in it, so every passing family has exactly one parent,
+    and the walk reaches each once.  D's candidates are the r-sets after
+    its last edge whose covers are all in D.  The predicate is asked once
+    per candidate, with one ``Hypergraph`` for D, and a child inherits
+    only the candidates accepted at D, plus the r-sets whose last missing
+    cover it adds: since passing is closed under sub-downsets, a
+    rejection at D holds for every superset.
+
+    Order: D is yielded before its subtree, then its children's subtrees
+    follow in descending candidate index.  Compared at the first r-set in
+    colex order on which two families differ, the one without it comes
+    first, which is the order of a per-element walk that tries excluding
+    each r-set before including it.
+
+    With ``maximal`` only the ⊆-maximal passing families are yielded.  An
+    r-set that could join D has its covers in D; it is either after D's
+    last edge, hence a candidate of D or rejected above it, or it was a
+    candidate of an ancestor that went on to a larger child.  So D is
+    maximal iff no candidate of D is accepted and the predicate, asked
+    again with D, rejects every r-set that an ancestor skipped that way
+    while accepting it (newest first, stopping at the first acceptance).
+    An r-set once rejected needs no second question, since the family
+    only grows.
+
+    ``leaf_budget`` caps the passing families the walk reaches, yielded or
+    not.  It is charged once per node, so it trips at the same family as
+    the per-element walk, which charged once per leaf.
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     elements = sorted(r_subsets(n, r))
-    m = len(elements)
-    covers = [_covers(e) for e in elements]
+    position = {e: i for i, e in enumerate(elements)}
+    # up[i]: the elements that element i covers, ascending;
+    # missing[i]: the covers of element i not in the current family
+    up: list[list[int]] = [[] for _ in elements]
+    missing: list[int] = []
+    for i, e in enumerate(elements):
+        below = _covers(e)
+        missing.append(len(below))
+        for c in below:
+            up[position[c]].append(i)
 
     included: list[int] = []
-    included_set: set[int] = set()
-    addable: list[int] = []
+    skipped: list[int] = []
+    # one frame per node on the path: its accepted candidates and the
+    # position of the child being walked
+    stack: list[list] = []
+    candidates = [i for i, c in enumerate(missing) if not c]
     reached = 0
-
-    def family() -> Hypergraph:
-        return Hypergraph._make(n, r, tuple(included))
-
-    def charge() -> None:
-        nonlocal reached
+    while True:
         reached += 1
         if leaf_budget is not None and reached > leaf_budget:
             raise EnumerationBudgetError(
@@ -204,34 +241,47 @@ def enumerate_stable(
                 f"{reached - 1} leaves",
                 reached - 1,
             )
-
-    def is_maximal(h: Hypergraph) -> bool:
+        h = Hypergraph._make(n, r, tuple(included))
         if predicate is None:
-            return not addable
-        return not any(predicate(h, e) for e in reversed(addable))
-
-    def walk(idx: int) -> Iterator[Hypergraph]:
-        if idx == m:
-            charge()
-            h = family()
-            if not maximal or is_maximal(h):
+            accepted = candidates
+        else:
+            accepted = [c for c in candidates if predicate(h, elements[c])]
+        if not maximal:
+            yield h
+        else:
+            if not accepted and not any(
+                predicate is None or predicate(h, elements[c])
+                for c in reversed(skipped)
+            ):
                 yield h
+            # children go from the last accepted candidate down, and each
+            # skips the accepted candidates before it
+            skipped.extend(accepted[:-1])
+        stack.append([accepted, len(accepted)])
+        # step to the next child of the deepest node that has one left,
+        # undoing each child whose subtree is done
+        while stack:
+            frame = stack[-1]
+            accepted, pos = frame
+            if pos < len(accepted):
+                included.pop()
+                for u in up[accepted[pos]]:
+                    missing[u] += 1
+                if maximal and pos:
+                    skipped.pop()  # the next child, accepted[pos - 1]
+            if not pos:
+                stack.pop()
+                continue
+            pos -= 1
+            frame[1] = pos
+            j = accepted[pos]
+            included.append(elements[j])
+            fresh = []
+            for u in up[j]:
+                missing[u] -= 1
+                if not missing[u]:
+                    fresh.append(u)
+            candidates = sorted(accepted[pos + 1:] + fresh)
+            break
+        else:
             return
-        e = elements[idx]
-        ok = all(c in included_set for c in covers[idx]) and (
-            predicate is None or predicate(family(), e)
-        )
-        # exclude branch first: families are emitted smallest-first
-        if ok and maximal:
-            addable.append(e)
-        yield from walk(idx + 1)
-        if ok:
-            if maximal:
-                addable.pop()
-            included.append(e)
-            included_set.add(e)
-            yield from walk(idx + 1)
-            included.pop()
-            included_set.remove(e)
-
-    yield from walk(0)

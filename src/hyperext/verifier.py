@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cliques import count_cliques, enumerate_cliques
-from .core import ColoredFamily, Hypergraph, delete_vertices, serialize
+from .core import ColoredFamily, Hypergraph, serialize
 from .extremal import (
     ExtremalParams,
     binom,
@@ -69,16 +69,31 @@ class VerificationReport:
 def stable_with_matching_at_most(n: int, r: int, k: int, **kw):
     """Stable r-graphs on [n] with ν <= k, via pruned downset search.
 
-    An r-set e may join a family h with ν(h) <= k iff the edges of h that
-    miss e have ν <= k-1, because k+1 disjoint edges of h ∪ {e} must use
-    e.  Keywords go to ``enumerate_stable`` (``maximal``, ``leaf_budget``).
+    The walk asks whether an r-set e may join a stable family h with
+    ν(h) <= k, where h ∪ {e} is again stable.  Let t = min(n, r(k+1)).
+    Any k+1 disjoint edges of a stable family can be moved into [r(k+1)]:
+    the order-preserving map of their union onto [r(k+1)] lowers every
+    vertex, so it sends each edge to one below it in ≺, again an edge
+    (Frankl, "The shifting technique in extremal set theory", 1987).
+    If e is not inside [t], the moved copies of k+1 disjoint edges of
+    h ∪ {e} would all differ from e, so h would hold them; hence e is
+    accepted with no search.  Otherwise h ∪ {e} has k+1 disjoint edges
+    iff it has them inside [t], and they must use e, so e may join iff
+    the edges of h inside [t] that miss e have ν <= k-1.  Keywords go to
+    ``enumerate_stable`` (``maximal``, ``leaf_budget``); k >= 0.
     """
-    return enumerate_stable(
-        n,
-        r,
-        lambda h, e: has_matching_at_most(delete_vertices(h, e), k - 1),
-        **kw,
-    )
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k={k}")
+    outside = ((1 << n) - 1) ^ ((1 << min(n, r * (k + 1))) - 1)
+
+    def fits(h: Hypergraph, e: int) -> bool:
+        if e & outside:
+            return True
+        blocked = e | outside
+        rest = tuple([f for f in h.edges if not f & blocked])
+        return has_matching_at_most(Hypergraph._make(n, r, rest), k - 1)
+
+    return enumerate_stable(n, r, fits, **kw)
 
 
 def _exceeds_e_power(q: Fraction, p: int) -> bool:
@@ -118,6 +133,36 @@ def _reaches_regime_threshold(params: ExtremalParams) -> bool:
         p = s - r + a
         scale = Fraction(4 * r * r * k) * Fraction(r, a - 1) ** p
     return _exceeds_e_power(n / scale, p)
+
+
+def _descend(
+    h: Hypergraph, s: int, bound: int, seen: set[tuple[int, ...]]
+) -> tuple[int, int]:
+    """Count K_s^r on every removal of one maximal edge from ``h``, and
+    onward from each such child still at or above ``bound``.
+
+    Returns the largest value below ``bound`` met (0 if none) and the
+    number of families counted.  Families in ``seen`` are skipped, and
+    every family counted is added to it.
+    """
+    best = counted = 0
+    stack = [h]
+    while stack:
+        top = stack.pop()
+        for m in maximal_edges(top):
+            child = Hypergraph._make(
+                top.n, top.r, tuple([e for e in top.edges if e != m])
+            )
+            if child.edges in seen:
+                continue
+            seen.add(child.edges)
+            counted += 1
+            val = count_cliques(child, s).total
+            if val < bound:
+                best = max(best, val)
+            else:
+                stack.append(child)
+    return best, counted
 
 
 def verify_extremal_cell(
@@ -165,21 +210,6 @@ def verify_extremal_cell(
     second_best = 0
     nodes = 0
     descended: set[tuple[int, ...]] = set()
-
-    def descend(h: Hypergraph) -> None:
-        nonlocal second_best, nodes
-        for m in maximal_edges(h):
-            child = Hypergraph._make(n, r, tuple([e for e in h.edges if e != m]))
-            if child.edges in descended:
-                continue
-            descended.add(child.edges)
-            nodes += 1
-            val = count_cliques(child, s).total
-            if val < bound:
-                second_best = max(second_best, val)
-            else:
-                descend(child)
-
     for h in stable_with_matching_at_most(
         n, r, k, maximal=True, leaf_budget=leaf_budget
     ):
@@ -191,7 +221,9 @@ def verify_extremal_cell(
         if val < bound:
             second_best = max(second_best, val)
         elif regime == "III":
-            descend(h)
+            below, counted = _descend(h, s, bound, descended)
+            second_best = max(second_best, below)
+            nodes += counted
 
     a = {"I": 1, "II": params.a, "III": r}[regime]
     if n >= max(r, a * k + a - 1) and observed < bound:

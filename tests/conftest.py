@@ -14,7 +14,7 @@ from hyperext.cliques import count_cliques
 from hyperext.core import Hypergraph, r_subsets
 from hyperext.extremal import ExtremalParams, theorem_bound
 from hyperext.matchings import has_matching_at_most
-from hyperext.shifting import enumerate_stable
+from hyperext.shifting import precedes
 from hyperext.verifier import _reaches_regime_threshold
 
 # one line per acceptance criterion, printed after the run so the
@@ -82,8 +82,6 @@ def naive_matching_number(h: Hypergraph) -> int:
 
 def naive_downset_count(n: int, r: int) -> int:
     """Count downsets of the precedence poset by brute force over subsets."""
-    from hyperext.shifting import precedes
-
     elements = [
         sum(1 << (v - 1) for v in c) for c in combinations(range(1, n + 1), r)
     ]
@@ -100,6 +98,50 @@ def naive_downset_count(n: int, r: int) -> int:
         ):
             count += 1
     return count
+
+
+def naive_stable_families(n: int, r: int, predicate=None, maximal=False):
+    """The stable r-graphs on [n] that pass, by a per-element walk.
+
+    The r-sets are taken in colex order.  Each is first left out, then
+    put in if every r-set below it in ≺ is in and ``predicate(h, e)``
+    accepts it.  With ``maximal``, an r-set left out that could have
+    been put in stays on a stack, and a finished family is yielded iff
+    the predicate, asked again with the whole family, rejects every
+    r-set on the stack.
+    """
+    elements = sorted(r_subsets(n, r))
+    below = [
+        [f for f in elements[:i] if precedes(f, e)] for i, e in enumerate(elements)
+    ]
+    included: list[int] = []
+    included_set: set[int] = set()
+    addable: list[int] = []
+
+    def accepts(e: int) -> bool:
+        h = Hypergraph._make(n, r, tuple(included))
+        return predicate is None or predicate(h, e)
+
+    def walk(idx: int):
+        if idx == len(elements):
+            if not maximal or not any(accepts(e) for e in reversed(addable)):
+                yield Hypergraph._make(n, r, tuple(included))
+            return
+        e = elements[idx]
+        ok = all(f in included_set for f in below[idx]) and accepts(e)
+        if ok and maximal:
+            addable.append(e)
+        yield from walk(idx + 1)
+        if ok:
+            if maximal:
+                addable.pop()
+            included.append(e)
+            included_set.add(e)
+            yield from walk(idx + 1)
+            included.pop()
+            included_set.remove(e)
+
+    yield from walk(0)
 
 
 def nu_at_most_from_scratch(k: int):
@@ -149,7 +191,7 @@ def _cell_from_families(n: int, k: int, r: int, s: int, families) -> dict:
 def all_leaves_cell(n: int, k: int, r: int, s: int) -> dict:
     """``verify_extremal_cell`` the slow way: cliques counted at every
     stable family with ν <= k, not only at the maximal ones."""
-    families = enumerate_stable(n, r, nu_at_most_from_scratch(k))
+    families = naive_stable_families(n, r, nu_at_most_from_scratch(k))
     return _cell_from_families(n, k, r, s, families)
 
 

@@ -3,9 +3,14 @@ import random
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import hosts, naive_downset_count, nu_at_most_from_scratch
+from conftest import (
+    hosts,
+    naive_downset_count,
+    naive_stable_families,
+    nu_at_most_from_scratch,
+)
 from hyperext.cliques import clique_census, count_cliques
-from hyperext.core import Hypergraph, mask_from_labels
+from hyperext.core import Hypergraph, mask_from_labels, r_subsets
 from hyperext.extremal import build_extremal_family
 from hyperext.matchings import matching_number
 from hyperext.randgen import random_hypergraph
@@ -174,6 +179,34 @@ class TestPrecedes:
                         assert precedes(x, z)
 
 
+STREAM_GRID = [(5, 1), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (6, 4)]
+
+
+def _assert_same_stream_as_oracle(n, r, pred):
+    """Same families in the same order, maximal or not, and the same
+    trip points and messages for leaf budgets 1, 10 and 100."""
+    every = [h.edges for h in naive_stable_families(n, r, pred)]
+    tops = [h.edges for h in naive_stable_families(n, r, pred, maximal=True)]
+    for maximal, stream in [(False, every), (True, tops)]:
+        got = [h.edges for h in enumerate_stable(n, r, pred, maximal=maximal)]
+        assert got == stream
+        for budget in (1, 10, 100):
+            walk = enumerate_stable(n, r, pred, maximal=maximal, leaf_budget=budget)
+            if len(every) <= budget:
+                assert [h.edges for h in walk] == stream
+                continue
+            got = []
+            with pytest.raises(EnumerationBudgetError) as info:
+                for h in walk:
+                    got.append(h.edges)
+            assert info.value.yielded == budget
+            assert str(info.value) == (
+                f"stable enumeration budget exceeded after {budget} leaves"
+            )
+            reached = set(every[:budget])
+            assert got == [f for f in stream if f in reached]
+
+
 class TestEnumerateStable:
     def test_tiny_counts_match_downset_oracle(self):
         for n, r in [(3, 2), (4, 2), (3, 3), (4, 3), (4, 1)]:
@@ -231,6 +264,31 @@ class TestEnumerateStable:
                 )
             ]
             assert maximal_edges(h) == removable
+
+    @pytest.mark.parametrize("n, r", STREAM_GRID)
+    @pytest.mark.parametrize("k", [None, 1, 2])
+    def test_same_stream_as_the_per_element_walk(self, n, r, k):
+        pred = None if k is None else nu_at_most_from_scratch(k)
+        _assert_same_stream_as_oracle(n, r, pred)
+
+    @pytest.mark.parametrize("n, r", STREAM_GRID)
+    def test_maximal_asks_every_skipped_element(self, n, r):
+        # a family passes iff it holds no conflicting pair, which is closed
+        # under sub-downsets; such a predicate can reject the newest skipped
+        # element while it accepts an older one, which the ν predicates of
+        # this grid never do
+        elements = sorted(r_subsets(n, r))
+        for seed in range(4):
+            rng = random.Random(seed)
+            conflicts = {
+                frozenset(rng.sample(elements, 2))
+                for _ in range(len(elements) // 2)
+            }
+
+            def pred(h, e):
+                return all(frozenset((e, f)) not in conflicts for f in h.edges)
+
+            _assert_same_stream_as_oracle(n, r, pred)
 
     def test_budget_error_carries_progress(self):
         with pytest.raises(EnumerationBudgetError) as info:

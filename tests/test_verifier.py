@@ -1,14 +1,21 @@
+import gc
 import json
 from math import comb
 
 import pytest
 from mpmath import mp
 
-from conftest import all_leaves_cell, every_graph_cell, nu_at_most_from_scratch
+from conftest import (
+    all_leaves_cell,
+    every_graph_cell,
+    naive_stable_families,
+    nu_at_most_from_scratch,
+)
 from hyperext import verifier
 from hyperext.cliques import CliqueCount, count_cliques
 from hyperext.extremal import ExtremalParams, binom, closed_form_clique_count
-from hyperext.matchings import matching_number
+from hyperext.core import Hypergraph
+from hyperext.matchings import has_matching_at_most, matching_number
 from hyperext.shifting import EnumerationBudgetError, enumerate_stable, is_stable
 from hyperext.verifier import (
     BOUND_NOT_YET_ACTIVE,
@@ -42,6 +49,46 @@ class TestStableWithMatching:
         }
         pruned = {h.edges for h in stable_with_matching_at_most(6, 2, 1)}
         assert pruned == direct
+
+    def test_nu_needs_only_the_edges_inside_the_span(self):
+        # a stable family has k+1 disjoint edges iff it has them in [r(k+1)]
+        checked = 0
+        for n in range(1, 9):
+            for r in range(1, n + 1):
+                for h in enumerate_stable(n, r):
+                    for k in range(n // r):
+                        span = (1 << r * (k + 1)) - 1
+                        inside = tuple([e for e in h.edges if not e & ~span])
+                        assert has_matching_at_most(h, k) == has_matching_at_most(
+                            Hypergraph._make(n, r, inside), k
+                        ), (h, k)
+                        checked += 1
+        assert checked > 20000
+
+    @pytest.mark.parametrize(
+        "n, r, k",
+        [
+            # n > r(k+1)
+            (8, 2, 1), (8, 2, 2), (7, 3, 1), (8, 3, 1), (5, 1, 2),
+            # n = r(k+1)
+            (6, 2, 2), (6, 3, 1),
+            # n < r(k+1)
+            (7, 2, 3), (7, 3, 2), (6, 4, 1), (5, 1, 6),
+            # k = 0
+            (5, 1, 0), (6, 2, 0), (6, 3, 0),
+        ],
+    )
+    def test_span_restricted_walk_equals_the_per_element_walk(self, n, r, k):
+        for maximal in (False, True):
+            got = stable_with_matching_at_most(n, r, k, maximal=maximal)
+            want = naive_stable_families(
+                n, r, nu_at_most_from_scratch(k), maximal=maximal
+            )
+            assert [h.edges for h in got] == [h.edges for h in want]
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            stable_with_matching_at_most(5, 2, -1)
 
 
 class TestExtremalCell:
@@ -138,6 +185,21 @@ class TestMaximalOnlySearch:
             len(h.edges)
             for h in enumerate_stable(7, 2, nu_at_most_from_scratch(2), maximal=True)
         ) > 6
+
+    def test_no_reference_cycle_left_behind(self):
+        routes = [
+            lambda: verify_extremal_cell(7, 2, 2, 3),
+            lambda: list(enumerate_stable(6, 2, maximal=True)),
+            lambda: list(stable_with_matching_at_most(7, 2, 2, maximal=True)),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for route in routes:
+                route()
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_leaf_budget_counts_every_leaf_reached(self):
         with pytest.raises(EnumerationBudgetError) as info:
