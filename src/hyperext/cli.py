@@ -22,6 +22,7 @@ from .extremal import (
     binomial_inequality_suite,
     build_extremal_family,
     closed_form_clique_count,
+    rainbow_hypothesis_check,
 )
 from .matchings import (
     BudgetExceededError,
@@ -153,7 +154,8 @@ def _exit_code(reports) -> int:
 
 def _sweep_int(expr: str, names: dict[str, int]) -> int:
     """Evaluate an integer literal, an earlier name, ``+ - * //``, unary minus,
-    parentheses and positional ``min``/``max``; anything else is a ValueError."""
+    parentheses and ``min``/``max`` of two or more positional arguments;
+    anything else is a ValueError."""
 
     def ev(node: ast.AST) -> int:
         if isinstance(node, ast.Constant) and type(node.value) is int:
@@ -171,7 +173,7 @@ def _sweep_int(expr: str, names: dict[str, int]) -> int:
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id in _SWEEP_CALLS
-            and node.args
+            and len(node.args) >= 2
             and not node.keywords
         ):
             return _SWEEP_CALLS[node.func.id](*(ev(a) for a in node.args))
@@ -265,8 +267,6 @@ def _cmd_rainbow(args) -> int:
     )
     fam = ColoredFamily(n, r, members)
     if args.check_hypothesis:
-        from .extremal import rainbow_hypothesis_check
-
         t = args.t if args.t is not None else r
         verdicts = rainbow_hypothesis_check(fam, t)
         for i, v in enumerate(verdicts, start=1):
@@ -282,7 +282,10 @@ def _cmd_rainbow(args) -> int:
 
 
 def _cmd_ineq(args) -> int:
-    x = Fraction(args.x) if args.x is not None else None
+    try:
+        x = Fraction(args.x) if args.x is not None else None
+    except ZeroDivisionError:
+        raise ValueError(f"--x {args.x!r} has a zero denominator") from None
     verdicts = binomial_inequality_suite(args.a, args.b, args.c, args.p, x)
     for v in verdicts:
         state = "holds" if v.holds else ("precondition" if v.holds is None else "FAILS")

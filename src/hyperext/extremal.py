@@ -2,9 +2,10 @@
 
 The extremal family on [n] at level a consists of all r-sets with at
 least a vertices in the head segment [ak+a-1]; its matching number is at
-most k.  All counts are exact big integers.  The threshold n_star below
-which the complete-head family (a = r) out-counts the level-a family is
-the only real-valued quantity here.
+most k.  All counts are exact big integers, and every comparison with a
+power of e is decided exactly by ``_exceeds_e_power``.  The threshold
+n_star below which the complete-head family (a = r) out-counts the
+level-a family is the only real-valued quantity here.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import iv
 
 from .cliques import count_cliques
 from .core import ColoredFamily, Hypergraph, r_subsets
@@ -114,21 +113,25 @@ class InequalityVerdict:
     note: str = ""
 
 
-def _interval_holds(lhs: int, rhs_expr) -> bool:
-    """Rigorous lhs <= rhs by directed-rounding intervals; restores ``iv.prec``."""
-    saved = iv.prec
-    try:
-        for dps in (30, 60, 120, 240):
-            iv.dps = dps
-            rhs = rhs_expr()
-            if rhs.a >= lhs:
-                return True
-            if rhs.b < lhs:
-                return False
-        # interval still straddles lhs at 240 digits: report a conservative miss
-        return False
-    finally:
-        iv.prec = saved
+def _exceeds_e_power(num: int, den: int, p: int) -> bool:
+    """Exactly: is num/den > e^p, for integers num >= 0, den > 0, p >= 1?
+
+    The partial sums lo = Σ_{i<=j} 1/i! = low/j! and hi = lo + 1/(j!·j)
+    bracket e strictly, and they tighten until num/den leaves
+    [lo^p, hi^p]; that always happens because e^p is irrational, so it
+    never equals num/den.  Everything stays in integers: low grows by
+    low·j + 1 and fact by fact·j.
+    """
+    low = fact = 1
+    j = 0
+    while True:
+        j += 1
+        low = low * j + 1
+        fact *= j
+        if (low * j + 1) ** p * den <= num * (fact * j) ** p:
+            return True
+        if low**p * den >= num * fact**p:
+            return False
 
 
 def binomial_inequality_suite(
@@ -144,9 +147,8 @@ def binomial_inequality_suite(
     (3) C(a,c) <= ((a-c)/(b-c))^c C(b,c), needs b > c
     (4) C(a,c) <= (ea/b)^c C(b,c)   (5) (1+x)^p <= 1 + p^2 x, 0 < x <= 1/p
 
-    (2), (3) and (5) are decided in exact rational arithmetic; (1) and
-    (4) involve powers of e and use interval arithmetic so a "holds"
-    verdict is rigorous.
+    Every verdict is exact: (2), (3) and (5) in rational arithmetic,
+    (1) and (4), which involve powers of e, by ``_exceeds_e_power``.
     """
     out: list[InequalityVerdict] = []
     pre_ok = a >= b >= c >= 0
@@ -159,7 +161,7 @@ def binomial_inequality_suite(
         if b == 0:
             out.append(InequalityVerdict("eq1", True, "b = 0: 1 <= 1"))
         else:
-            holds = _interval_holds(binom(a, b), lambda: (iv.e * a / b) ** b)
+            holds = not _exceeds_e_power(binom(a, b) * b**b, a**b, b)
             out.append(InequalityVerdict("eq1", holds))
         # (2)
         if c == 0:
@@ -182,10 +184,8 @@ def binomial_inequality_suite(
         if c == 0:
             out.append(InequalityVerdict("eq4", True, "c = 0: 1 <= 1"))
         else:
-            lhs = binom(a, c)
-            rhs_binom = binom(b, c)
-            holds = _interval_holds(
-                lhs, lambda: (iv.e * a / b) ** c * rhs_binom
+            holds = not _exceeds_e_power(
+                binom(a, c) * b**c, a**c * binom(b, c), c
             )
             out.append(InequalityVerdict("eq4", holds))
 

@@ -14,12 +14,12 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cliques import count_cliques, enumerate_cliques
 from .core import ColoredFamily, Hypergraph, serialize
 from .extremal import (
     ExtremalParams,
+    _exceeds_e_power,
     binom,
     build_extremal_family,
     closed_form_clique_count,
@@ -96,25 +96,6 @@ def stable_with_matching_at_most(n: int, r: int, k: int, **kw):
     return enumerate_stable(n, r, fits, **kw)
 
 
-def _exceeds_e_power(q: Fraction, p: int) -> bool:
-    """Exactly: is q > e^p, for rational q and integer p >= 1?
-
-    The partial sums lo = Σ_{j<=N} 1/j! and hi = lo + 1/(N!·N) bracket e
-    strictly, and they tighten until q leaves [lo^p, hi^p]; that always
-    happens because e^p is irrational, so it never equals q.
-    """
-    lo = term = Fraction(1)
-    j = 0
-    while True:
-        j += 1
-        term /= j
-        lo += term
-        if (lo + term / j) ** p <= q:
-            return True
-        if lo**p >= q:
-            return False
-
-
 def _reaches_regime_threshold(params: ExtremalParams) -> bool:
     """Whether n >= the n-threshold of the regime, decided exactly.
 
@@ -127,12 +108,10 @@ def _reaches_regime_threshold(params: ExtremalParams) -> bool:
         return n >= r * k + r - 1
     if regime == "I":
         p = s - r + 2
-        scale = Fraction(4 * r**p * k)
-    else:
-        a = params.a
-        p = s - r + a
-        scale = Fraction(4 * r * r * k) * Fraction(r, a - 1) ** p
-    return _exceeds_e_power(n / scale, p)
+        return _exceeds_e_power(n, 4 * r**p * k, p)
+    a = params.a
+    p = s - r + a
+    return _exceeds_e_power(n * (a - 1) ** p, 4 * r * r * k * r**p, p)
 
 
 def _descend(

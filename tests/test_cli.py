@@ -233,6 +233,8 @@ class TestSweepConfigGrammar:
             "n=x+1",
             "n=True",
             "n=",
+            "n=2..min(3)",
+            "n=max(1)..6",
         ],
     )
     def test_expression_outside_grammar_exits_2(self, capsys, tmp_path, line):
@@ -305,6 +307,14 @@ class TestIneq:
         lines = out.strip().splitlines()
         assert len(lines) == 5
         assert all(": holds" in l for l in lines)
+
+    def test_zero_denominator_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "ineq", "--a", "10", "--b", "5", "--c", "3",
+            "--p", "2", "--x", "1/0",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_precondition_reported(self, capsys):
         code, out, _ = run(capsys, "ineq", "--a", "3", "--b", "5", "--c", "1")

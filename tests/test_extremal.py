@@ -1,16 +1,21 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
-from mpmath import iv
+from mpmath import mp
 
 from conftest import naive_clique_count
 from hyperext.cliques import count_cliques
 from hyperext.core import labels_from_mask
 from hyperext.extremal import (
     ExtremalParams,
+    _exceeds_e_power,
     binom,
     binomial_inequality_suite,
     build_extremal_family,
@@ -148,10 +153,16 @@ class TestInequalities:
                     for v in binomial_inequality_suite(a, b, c):
                         assert v.holds is not False, (a, b, c, v)
 
-    def test_interval_precision_restored(self):
-        iv.dps = 15
-        binomial_inequality_suite(10, 5, 3)
-        assert iv.dps == 15
+    def test_e_power_decided_at_the_floor(self):
+        # q = floor(e^p 10^d) lies just below e^p 10^d and q + 1 just above;
+        # (1) and (4) hold on every (a, b, c) the suites use: only this asks for a no
+        with mp.workdps(120):
+            for p in range(1, 41):
+                for d in (0, 1, 3, 10, 30, 60):
+                    den = 10**d
+                    q = int(mp.floor(mp.e**p * den))
+                    assert not _exceeds_e_power(q, den, p), (p, d)
+                    assert _exceeds_e_power(q + 1, den, p), (p, d)
 
     def test_eq3_precondition(self):
         suite = binomial_inequality_suite(6, 3, 3)
@@ -279,3 +290,17 @@ class TestRainbowHypothesis:
                     for s in range(r, t + 1)
                 )
                 assert verdict == direct
+
+
+def test_library_needs_no_runtime_dependency():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = "import sys, hyperext; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
+    tomllib = pytest.importorskip("tomllib")
+    with open(root / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
