@@ -163,30 +163,23 @@ def binomial_inequality_suite(
         else:
             holds = not _exceeds_e_power(binom(a, b) * b**b, a**b, b)
             out.append(InequalityVerdict("eq1", holds))
-        # (2)
         if c == 0:
-            out.append(InequalityVerdict("eq2", True, "c = 0: 1 <= 1"))
+            out.extend(
+                InequalityVerdict(f"eq{i}", True, "c = 0: 1 <= 1") for i in (2, 3, 4)
+            )
         else:
-            holds = Fraction(binom(b, c)) <= Fraction(b, a) ** c * binom(a, c)
+            ac, bc = binom(a, c), binom(b, c)
+            # (2)
+            holds = Fraction(bc) <= Fraction(b, a) ** c * ac
             out.append(InequalityVerdict("eq2", holds))
-        # (3)
-        if c == 0:
-            out.append(InequalityVerdict("eq3", True, "c = 0: 1 <= 1"))
-        elif b <= c:
-            out.append(InequalityVerdict("eq3", None, "needs b > c"))
-        else:
-            holds = (
-                Fraction(binom(a, c))
-                <= Fraction(a - c, b - c) ** c * binom(b, c)
-            )
-            out.append(InequalityVerdict("eq3", holds))
-        # (4)
-        if c == 0:
-            out.append(InequalityVerdict("eq4", True, "c = 0: 1 <= 1"))
-        else:
-            holds = not _exceeds_e_power(
-                binom(a, c) * b**c, a**c * binom(b, c), c
-            )
+            # (3)
+            if b <= c:
+                out.append(InequalityVerdict("eq3", None, "needs b > c"))
+            else:
+                holds = Fraction(ac) <= Fraction(a - c, b - c) ** c * bc
+                out.append(InequalityVerdict("eq3", holds))
+            # (4)
+            holds = not _exceeds_e_power(ac * b**c, a**c * bc, c)
             out.append(InequalityVerdict("eq4", holds))
 
     if p is not None or x is not None:

@@ -2,13 +2,21 @@
 
 One exhaustive search decides whether a target number of pairwise
 disjoint edges exists: it branches on every edge through the
-lowest-indexed covered vertex versus discarding that vertex, and prunes
+highest-indexed covered vertex versus discarding that vertex, and prunes
 when floor(covered/r) falls below the number of edges still needed.
 ``has_matching_at_most(h, k)`` is one search with target k+1.
 ``matching_number`` raises the target from 1 until the search fails;
 the last matching found is the witness, and its ``node_budget`` covers
 all rounds together.  Exactness is non-negotiable; exceeding the node
 budget raises instead of approximating.
+
+Any pivot vertex is exact; the top one is chosen for stable input, which
+is all the verifier's walk asks about.  In a stable family, for i < j,
+S_ij maps the edges through j but not i one-to-one into those through i
+but not j, so the top covered vertex has the least degree and the
+fewest branches.  Both sub-searches stay stable on the vertices they
+keep: dropping the edges that meet a set X leaves a family closed under
+every shift that avoids X.
 """
 
 from __future__ import annotations
@@ -64,6 +72,8 @@ class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, limit: int | None):
+        if limit is not None and limit < 1:
+            raise ValueError(f"node budget must be at least 1, got {limit}")
         self.left = limit
 
     def spend(self) -> None:
@@ -88,7 +98,7 @@ def _find_matching(
         cover |= e
     if cover.bit_count() // r < need:
         return None
-    vbit = cover & -cover
+    vbit = 1 << (cover.bit_length() - 1)
     for e in avail:
         if e & vbit:
             found = _find_matching([f for f in avail if not f & e], need - 1, r, budget)

@@ -1,4 +1,5 @@
-"""The shifting operator S_ij, stabilization, and stable-family enumeration.
+"""The shifting operator S_ij, stabilization, stable-family enumeration,
+and the lift of a stable family to a larger vertex set.
 
 S_ij replaces vertex j by vertex i in an edge when i is absent and the
 replacement is not already an edge; it preserves edge count, never
@@ -15,6 +16,13 @@ is never asked about again below that family.  The families come in the
 order of the plain per-element walk that excludes each r-set before it
 includes it, the ``maximal`` filter keeps the same families, and
 ``leaf_budget`` counts the same families; ``enumerate_stable`` says why.
+
+``lift(g, n)`` extends a stable family g on [t] to the largest stable
+family on [n] whose trace on [t] is g, in one colex pass over the
+r-sets that leave [t].  A property closed under sub-downsets that
+depends only on the trace on [t], such as ν <= k for t = r(k+1), has
+its maximal families on [n] exactly the lifts of those on [t]; the
+verifier walks [t] alone for that reason.
 """
 
 from __future__ import annotations
@@ -157,6 +165,25 @@ def _covers(e: int) -> list[int]:
     return out
 
 
+def lift(g: Hypergraph, n: int) -> Hypergraph:
+    """ext_n(g): the largest downset on [n] whose trace on [g.n] is ``g``.
+
+    ``g`` is stable on [t], t = g.n <= n.  An r-set inside [t] is in
+    ext_n(g) iff it is in ``g``; any other r-set is in it iff all its
+    covers are.  Covers precede an r-set in colex order, and every r-set
+    inside [t] precedes every one that leaves [t], so one ascending pass
+    decides each r-set from those before it, and the edges come out in
+    colex order.
+    """
+    edges = list(g.edges)
+    present = set(edges)
+    for e in sorted(r_subsets(n, g.r)):
+        if e >> g.n and all(c in present for c in _covers(e)):
+            edges.append(e)
+            present.add(e)
+    return Hypergraph._make(n, g.r, tuple(edges))
+
+
 def maximal_edges(h: Hypergraph) -> list[int]:
     """The ≺-maximal edges of a stable ``h``, colex order.
 
@@ -209,11 +236,14 @@ def enumerate_stable(
     only grows.
 
     ``leaf_budget`` caps the passing families the walk reaches, yielded or
-    not.  It is charged once per node, so it trips at the same family as
-    the per-element walk, which charged once per leaf.
+    not, and must be at least 1.  It is charged once per node, so it trips
+    at the same family as the per-element walk, which charged once per
+    leaf.
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    if leaf_budget is not None and leaf_budget < 1:
+        raise ValueError(f"leaf budget must be at least 1, got {leaf_budget}")
     elements = sorted(r_subsets(n, r))
     position = {e: i for i, e in enumerate(elements)}
     # up[i]: the elements that element i covers, ascending;

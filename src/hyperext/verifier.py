@@ -4,7 +4,8 @@ The search space is reduced to stable hypergraphs: shifting never
 decreases clique counts and never increases the matching number, so the
 maximum of K_s^r over all r-graphs with ν <= k is attained on a stable
 one.  The downset walk of ``shifting.enumerate_stable`` is the only
-search.
+search; for the maximal families it runs on [min(n, r(k+1))] alone
+(``stable_with_matching_at_most`` says why).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .extremal import (
 )
 from .matchings import find_rainbow_matching, has_matching_at_most
 from .randgen import random_family_above_edge_threshold
-from .shifting import enumerate_stable, maximal_edges
+from .shifting import enumerate_stable, lift, maximal_edges
 
 CONFIRMED = "confirmed"
 BOUND_NOT_YET_ACTIVE = "bound-not-yet-active"
@@ -66,34 +67,74 @@ class VerificationReport:
         return json.dumps(obj, separators=(",", ":"))
 
 
-def stable_with_matching_at_most(n: int, r: int, k: int, **kw):
+def stable_with_matching_at_most(
+    n: int,
+    r: int,
+    k: int,
+    *,
+    maximal: bool = False,
+    leaf_budget: int | None = None,
+):
     """Stable r-graphs on [n] with ν <= k, via pruned downset search.
 
+    Let t = r(k+1).  Any k+1 disjoint edges of a stable family can be
+    moved into [t]: the order-preserving map of their union onto [t]
+    lowers every vertex, so it sends each edge to one below it in ≺,
+    again an edge (Frankl, "The shifting technique in extremal set
+    theory", 1987).  So a stable family has ν <= k iff its edges inside
+    [t] do.
+
     The walk asks whether an r-set e may join a stable family h with
-    ν(h) <= k, where h ∪ {e} is again stable.  Let t = min(n, r(k+1)).
-    Any k+1 disjoint edges of a stable family can be moved into [r(k+1)]:
-    the order-preserving map of their union onto [r(k+1)] lowers every
-    vertex, so it sends each edge to one below it in ≺, again an edge
-    (Frankl, "The shifting technique in extremal set theory", 1987).
-    If e is not inside [t], the moved copies of k+1 disjoint edges of
-    h ∪ {e} would all differ from e, so h would hold them; hence e is
-    accepted with no search.  Otherwise h ∪ {e} has k+1 disjoint edges
-    iff it has them inside [t], and they must use e, so e may join iff
-    the edges of h inside [t] that miss e have ν <= k-1.  Keywords go to
-    ``enumerate_stable`` (``maximal``, ``leaf_budget``); k >= 0.
+    ν(h) <= k, where h ∪ {e} is again stable.  If e is not inside [t],
+    the moved copies of k+1 disjoint edges of h ∪ {e} would all differ
+    from e, so h would hold them; hence e is accepted with no search.
+    Otherwise h ∪ {e} has k+1 disjoint edges iff it has them inside [t],
+    and they must use e, so e may join iff the edges of h inside [t]
+    that miss e have ν <= k-1.
+
+    With ``maximal`` only the ⊆-maximal families are yielded, and no
+    walk on [n] is needed:
+
+    - n > t: the maximal families on [n] are the lifts ext_n(G) of the
+      maximal families G on [t] (``shifting.lift``).  ext_n(G) is a
+      downset with trace G on [t], so ν <= k, and it is maximal: an
+      r-set that could join it either lies inside [t], where G is
+      maximal, or has its covers in it and so is in it already.  A
+      maximal F on [n] has a maximal trace G (an r-set that could join
+      the trace could join F), and F ⊆ ext_n(G), so F = ext_n(G).  The
+      walk runs on [t] and yields the lift of each family it yields.
+      All r-sets inside [t] come first in colex order, so the stream
+      order is that of the walk on [n].
+    - n < t: no r-graph on [n] has t disjoint vertices to hold k+1
+      disjoint edges, so the complete r-graph is the one maximal family,
+      and it is yielded alone.
+
+    ``leaf_budget`` caps the families the walk on [min(n, t)] reaches
+    (on [n] without ``maximal``), so with ``maximal`` the budget a cell
+    needs does not depend on n >= t; for n < t the complete r-graph is
+    the one family reached.  It must be at least 1.  k >= 0.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
-    outside = ((1 << n) - 1) ^ ((1 << min(n, r * (k + 1))) - 1)
+    if leaf_budget is not None and leaf_budget < 1:
+        raise ValueError(f"leaf budget must be at least 1, got {leaf_budget}")
+    t = r * (k + 1)
+    if maximal and n < t:
+        return iter([Hypergraph.complete(n, r)])
+    m = min(n, t) if maximal else n  # the walk runs on [m]
+    outside = ((1 << m) - 1) ^ ((1 << min(m, t)) - 1)
 
     def fits(h: Hypergraph, e: int) -> bool:
         if e & outside:
             return True
         blocked = e | outside
         rest = tuple([f for f in h.edges if not f & blocked])
-        return has_matching_at_most(Hypergraph._make(n, r, rest), k - 1)
+        return has_matching_at_most(Hypergraph._make(m, r, rest), k - 1)
 
-    return enumerate_stable(n, r, fits, **kw)
+    walk = enumerate_stable(m, r, fits, maximal=maximal, leaf_budget=leaf_budget)
+    if m == n:
+        return walk
+    return (lift(g, n) for g in walk)
 
 
 def _reaches_regime_threshold(params: ExtremalParams) -> bool:

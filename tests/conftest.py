@@ -62,22 +62,27 @@ def naive_clique_count(h: Hypergraph, s: int) -> int:
 
 
 def naive_matching_number(h: Hypergraph) -> int:
-    """Maximum over all edge subsets that are pairwise disjoint."""
+    """The largest number of pairwise disjoint edges, by trying every edge
+    subset of each size.
+
+    Sizes go up from 1 and stop at the first size with no disjoint
+    subset: every subset of a matching is a matching.
+    """
     best = 0
-    edges = h.edges
-    for size in range(len(edges), 0, -1):
-        if size <= best:
+    for size in range(1, len(h.edges) + 1):
+        if not any(_pairwise_disjoint(c) for c in combinations(h.edges, size)):
             break
-        for comb in combinations(edges, size):
-            used = 0
-            for e in comb:
-                if e & used:
-                    break
-                used |= e
-            else:
-                best = size
-                break
+        best = size
     return best
+
+
+def _pairwise_disjoint(edges) -> bool:
+    used = 0
+    for e in edges:
+        if e & used:
+            return False
+        used |= e
+    return True
 
 
 def naive_downset_count(n: int, r: int) -> int:

@@ -99,6 +99,14 @@ class TestNu:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exit_2(self, capsys, tmp_path, budget):
+        f = tmp_path / "h.hg"
+        f.write_text(serialize(build_extremal_family(9, 2, 3, 2)))
+        code, out, err = run(capsys, "nu", "--budget", budget, str(f))
+        assert code == 2 and out == ""
+        assert "error:" in err and "budget" in err
+
 
 class TestShiftStabilize:
     def test_shift_once(self, capsys, tmp_path):
@@ -150,6 +158,29 @@ class TestVerify:
         obj = json.loads(out)
         assert obj["status"] == "confirmed"
         assert obj["observed_max"] == "5"
+
+    def test_budget_exceeded_exit_3(self, capsys):
+        code, out, err = run(
+            capsys,
+            "verify", "extremal", "--n", "9", "--k", "2", "--r", "3", "--s", "5",
+            "--budget", "100",
+        )
+        assert code == 3 and out == ""
+        assert "error:" in err and "after 100 leaves" in err
+
+    # (9, 2, 3, 5) walks [9]; (10, 3, 3, 6) is below the span r(k+1) = 12,
+    # where no walk runs
+    @pytest.mark.parametrize("cell", [("9", "2", "3", "5"), ("10", "3", "3", "6")])
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_exit_2(self, capsys, cell, budget):
+        n, k, r, s = cell
+        code, out, err = run(
+            capsys,
+            "verify", "extremal", "--n", n, "--k", k, "--r", r, "--s", s,
+            "--budget", budget,
+        )
+        assert code == 2 and out == ""
+        assert "error:" in err and "budget" in err
 
     def test_full_enumeration_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:

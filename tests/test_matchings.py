@@ -17,7 +17,7 @@ from hyperext.matchings import (
     matching_number,
 )
 from hyperext.randgen import random_hypergraph
-from hyperext.shifting import shift
+from hyperext.shifting import enumerate_stable, shift
 
 
 class TestMatchingNumber:
@@ -69,6 +69,14 @@ class TestMatchingNumber:
         with pytest.raises(BudgetExceededError):
             matching_number(h, node_budget=5)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        h = Hypergraph.complete(5, 2)
+        with pytest.raises(ValueError):
+            matching_number(h, node_budget=budget)
+        with pytest.raises(ValueError):
+            has_matching_at_most(h, 1, node_budget=budget)
+
 
 class TestHasMatchingAtMost:
     def test_complete_graph_pigeonhole(self):
@@ -108,6 +116,24 @@ class TestOneSearch:
         assert is_valid_matching(h, wit) and len(wit) == nu
         for k in range(-1, nu + 2):
             assert has_matching_at_most(h, k) == (nu <= k)
+
+
+class TestStableInput:
+    """The search pivots on the top covered vertex, the least-degree
+    vertex of a stable family; it must stay exact there."""
+
+    @pytest.mark.parametrize("n, r", [(8, 2), (7, 3)])
+    def test_every_stable_family_equals_oracle(self, n, r):
+        checked = 0
+        for h in enumerate_stable(n, r):
+            nu = naive_matching_number(h)
+            got, wit = matching_number(h)
+            assert got == nu, h
+            assert is_valid_matching(h, wit) and len(wit) == nu
+            for j in range(-1, n // r + 1):
+                assert has_matching_at_most(h, j) == (nu <= j), (h, j)
+            checked += 1
+        assert checked == {(8, 2): 128, (7, 3): 352}[n, r]
 
 
 class TestShiftMonotonicity:

@@ -18,6 +18,7 @@ from hyperext.shifting import (
     EnumerationBudgetError,
     enumerate_stable,
     is_stable,
+    lift,
     maximal_edges,
     precedes,
     shift,
@@ -179,6 +180,25 @@ class TestPrecedes:
                         assert precedes(x, z)
 
 
+class TestLift:
+    @pytest.mark.parametrize("n, r", [(6, 1), (7, 2), (7, 3), (8, 3)])
+    def test_largest_stable_family_with_the_trace(self, n, r):
+        # the stable families on [n] grouped by their trace on [t]: the
+        # union of a group is a downset with that trace, so the group has
+        # one largest member
+        for t in range(r, n + 1):
+            span = (1 << t) - 1
+            largest: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for h in enumerate_stable(n, r):
+                trace = tuple([e for e in h.edges if not e & ~span])
+                if len(h.edges) >= len(largest.get(trace, ())):
+                    largest[trace] = h.edges
+            assert len(largest) == sum(1 for _ in enumerate_stable(t, r))
+            for trace, edges in largest.items():
+                got = lift(Hypergraph._make(t, r, trace), n)
+                assert (got.n, got.r, got.edges) == (n, r, edges)
+
+
 STREAM_GRID = [(5, 1), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (6, 4)]
 
 
@@ -301,3 +321,6 @@ class TestEnumerateStable:
             list(enumerate_stable(2, 3))
         with pytest.raises(ValueError):
             list(enumerate_stable(3, 0))
+        for budget in (0, -1):
+            with pytest.raises(ValueError):
+                list(enumerate_stable(5, 2, leaf_budget=budget))

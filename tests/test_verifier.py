@@ -8,6 +8,7 @@ from mpmath import mp
 from conftest import (
     all_leaves_cell,
     every_graph_cell,
+    naive_matching_number,
     naive_stable_families,
     nu_at_most_from_scratch,
 )
@@ -16,7 +17,12 @@ from hyperext.cliques import CliqueCount, count_cliques
 from hyperext.extremal import ExtremalParams, binom, closed_form_clique_count
 from hyperext.core import Hypergraph
 from hyperext.matchings import has_matching_at_most, matching_number
-from hyperext.shifting import EnumerationBudgetError, enumerate_stable, is_stable
+from hyperext.shifting import (
+    EnumerationBudgetError,
+    enumerate_stable,
+    is_stable,
+    stable_closure_check,
+)
 from hyperext.verifier import (
     BOUND_NOT_YET_ACTIVE,
     CONFIRMED,
@@ -70,6 +76,7 @@ class TestStableWithMatching:
         [
             # n > r(k+1)
             (8, 2, 1), (8, 2, 2), (7, 3, 1), (8, 3, 1), (5, 1, 2),
+            (9, 3, 1), (10, 2, 2), (10, 3, 1), (11, 2, 2),
             # n = r(k+1)
             (6, 2, 2), (6, 3, 1),
             # n < r(k+1)
@@ -86,9 +93,33 @@ class TestStableWithMatching:
             )
             assert [h.edges for h in got] == [h.edges for h in want]
 
+    @pytest.mark.parametrize(
+        "r, k", [(1, 0), (1, 2), (2, 0), (2, 1), (2, 2), (3, 1), (3, 0), (4, 1)]
+    )
+    def test_maximal_families_above_the_span_lift_those_on_it(self, r, k):
+        t = r * (k + 1)
+        span = (1 << t) - 1
+        on_span = [
+            h.edges for h in stable_with_matching_at_most(t, r, k, maximal=True)
+        ]
+        for n in range(t + 1, t + 4):
+            got = list(stable_with_matching_at_most(n, r, k, maximal=True))
+            for h in got:
+                assert h.n == n and stable_closure_check(h)
+                assert naive_matching_number(h) <= k
+            traces = [tuple([e for e in h.edges if not e & ~span]) for h in got]
+            assert traces == on_span, (n, r, k)
+
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             stable_with_matching_at_most(5, 2, -1)
+
+    @pytest.mark.parametrize("n, maximal", [(6, False), (6, True), (8, True), (4, True)])
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, n, maximal, budget):
+        # (r, k) = (2, 2): n = 4 is below the span 6, where no walk runs
+        with pytest.raises(ValueError):
+            stable_with_matching_at_most(n, 2, 2, maximal=maximal, leaf_budget=budget)
 
 
 class TestExtremalCell:
@@ -205,6 +236,22 @@ class TestMaximalOnlySearch:
         with pytest.raises(EnumerationBudgetError) as info:
             verify_extremal_cell(9, 2, 3, 5, leaf_budget=1000)
         assert info.value.yielded == 1000
+
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_budget_a_cell_needs_does_not_depend_on_n(self, n):
+        # above the span r(k+1) = 9 the walk still runs on [9]
+        rep = verify_extremal_cell(n, 2, 3, 5, leaf_budget=11720)
+        assert rep.nodes == 68
+        with pytest.raises(EnumerationBudgetError) as info:
+            verify_extremal_cell(n, 2, 3, 5, leaf_budget=11719)
+        assert info.value.yielded == 11719
+
+    def test_below_the_span_the_complete_graph_is_the_one_family(self):
+        # r(k+1) = 12 > 10: no 3-graph on [10] has 4 disjoint edges
+        rep = verify_extremal_cell(10, 3, 3, 6, leaf_budget=1)
+        assert rep.nodes == 1
+        assert rep.observed_max == 210 == comb(10, 6)
+        assert rep.witness == Hypergraph.complete(10, 3)
 
     def test_broken_invariant_is_reported(self, monkeypatch):
         monkeypatch.setattr(verifier, "has_matching_at_most", lambda h, k: False)
