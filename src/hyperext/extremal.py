@@ -2,8 +2,9 @@
 
 The extremal family on [n] at level a consists of all r-sets with at
 least a vertices in the head segment [ak+a-1]; its matching number is at
-most k.  All counts are exact big integers, and every comparison with a
-power of e is decided exactly by ``_exceeds_e_power``.  The threshold
+most k.  The regime policy (regime, level, n-threshold) lives here.  All
+counts are exact big integers, and every comparison with a power of e is
+decided exactly by ``_exceeds_e_power``.  The threshold
 n_star below which the complete-head family (a = r) out-counts the
 level-a family is the only real-valued quantity here.
 """
@@ -56,6 +57,11 @@ class ExtremalParams:
         raise ValueError(
             f"s={s} above the top regime (needs s <= rk+r-1 = {r * k + r - 1})"
         )
+
+    @property
+    def level(self) -> int:
+        """The level of the regime's extremal family: 1, a, r for I, II, III."""
+        return {"I": 1, "II": self.a, "III": self.r}[self.regime]
 
 
 def build_extremal_family(n: int, k: int, r: int, a: int) -> Hypergraph:
@@ -132,6 +138,24 @@ def _exceeds_e_power(num: int, den: int, p: int) -> bool:
             return True
         if low**p * den >= num * fact**p:
             return False
+
+
+def reaches_regime_threshold(params: ExtremalParams) -> bool:
+    """Whether n >= the n-threshold of the regime, decided exactly.
+
+    I: 4(er)^p k with p = s-r+2;  II: 4r²k (er/(a-1))^p with p = s-r+a;
+    III: rk+r-1.
+    """
+    n, k, r, s = params.n, params.k, params.r, params.s
+    regime = params.regime
+    if regime == "III":
+        return n >= r * k + r - 1
+    if regime == "I":
+        p = s - r + 2
+        return _exceeds_e_power(n, 4 * r**p * k, p)
+    a = params.a
+    p = s - r + a
+    return _exceeds_e_power(n * (a - 1) ** p, 4 * r * r * k * r**p, p)
 
 
 def binomial_inequality_suite(
@@ -225,11 +249,9 @@ def theorem_bound(params: ExtremalParams) -> tuple[int, str, int | None]:
     """
     n, k, r, s = params.n, params.k, params.r, params.s
     regime = params.regime
-    if regime == "I":
-        return closed_form_clique_count(n, k, r, 1, s), regime, None
-    if regime == "II":
-        return closed_form_clique_count(n, k, r, params.a, s), regime, None
-    bound = closed_form_clique_count(n, k, r, r, s)
+    bound = closed_form_clique_count(n, k, r, params.level, s)
+    if regime != "III":
+        return bound, regime, None
     gap = binom(r * k + r - 1, s) - binom(r * k - 1, s - r)
     return bound, regime, gap
 

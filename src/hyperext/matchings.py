@@ -129,24 +129,28 @@ def has_matching_at_most(
     return _find_matching(list(h.edges), k + 1, h.r, _Budget(node_budget)) is None
 
 
+def _rainbow_picks(
+    fam: ColoredFamily, order: list[int], picks: list[tuple[int, int]], used: int
+) -> bool:
+    """Add one edge per color left in ``order`` to ``picks``, avoiding ``used``."""
+    pos = len(picks)
+    if pos == fam.k:
+        return True
+    ci = order[pos]
+    for e in fam.members[ci].edges:
+        if not e & used:
+            picks.append((ci + 1, e))
+            if _rainbow_picks(fam, order, picks, used | e):
+                return True
+            picks.pop()
+    return False
+
+
 def find_rainbow_matching(fam: ColoredFamily) -> RainbowMatching | None:
     """Exhaustive backtracking; colors tried in ascending edge-count order."""
     order = sorted(range(fam.k), key=lambda i: (len(fam.members[i].edges), i))
     picks: list[tuple[int, int]] = []
-
-    def rec(pos: int, used: int) -> bool:
-        if pos == fam.k:
-            return True
-        ci = order[pos]
-        for e in fam.members[ci].edges:
-            if not e & used:
-                picks.append((ci + 1, e))
-                if rec(pos + 1, used | e):
-                    return True
-                picks.pop()
-        return False
-
-    if rec(0, 0):
+    if _rainbow_picks(fam, order, picks, 0):
         picks.sort()
         return RainbowMatching(tuple(picks))
     return None

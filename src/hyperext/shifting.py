@@ -131,26 +131,24 @@ def precedes(e1: int, e2: int) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _dominated_sets(e: int) -> Iterator[int]:
-    """All r-set masks S with S ≺ e (including e itself)."""
-    xs = labels_from_mask(e)
-    r = len(xs)
-
-    def walk(idx: int, prev: int, mask: int) -> Iterator[int]:
-        if idx == r:
-            yield mask
-            return
-        for y in range(prev + 1, xs[idx] + 1):
-            yield from walk(idx + 1, y, mask | (1 << (y - 1)))
-
-    yield from walk(0, 0, 0)
+def _dominated_sets(
+    xs: list[int], idx: int = 0, prev: int = 0, mask: int = 0
+) -> Iterator[int]:
+    """All r-set masks S with S ≺ e (including e itself), for the sorted
+    labels ``xs`` of e; ``mask`` holds the labels of S chosen below
+    ``idx``, the last of them ``prev``."""
+    if idx == len(xs):
+        yield mask
+        return
+    for y in range(prev + 1, xs[idx] + 1):
+        yield from _dominated_sets(xs, idx + 1, y, mask | (1 << (y - 1)))
 
 
 def stable_closure_check(h: Hypergraph) -> bool:
     """Downset characterization: every S ≺ E of an edge E is itself an edge."""
     present = h.edge_set
     for e in h.edges:
-        for s in _dominated_sets(e):
+        for s in _dominated_sets(labels_from_mask(e)):
             if s not in present:
                 return False
     return True

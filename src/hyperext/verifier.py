@@ -4,8 +4,10 @@ The search space is reduced to stable hypergraphs: shifting never
 decreases clique counts and never increases the matching number, so the
 maximum of K_s^r over all r-graphs with ν <= k is attained on a stable
 one.  The downset walk of ``shifting.enumerate_stable`` is the only
-search; for the maximal families it runs on [min(n, r(k+1))] alone
-(``stable_with_matching_at_most`` says why).
+search; the verifier takes only the maximal families from it, on
+[min(n, r(k+1))] (``stable_with_matching_at_most`` says why), and both
+the extremal cell and Proposition 3.2 read those alone
+(``verify_proposition_3_2`` says why for the latter).
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from .cliques import count_cliques, enumerate_cliques
 from .core import ColoredFamily, Hypergraph, serialize
 from .extremal import (
     ExtremalParams,
-    _exceeds_e_power,
-    binom,
     build_extremal_family,
-    closed_form_clique_count,
     rainbow_hypothesis_check,
+    reaches_regime_threshold,
     theorem_bound,
 )
 from .matchings import find_rainbow_matching, has_matching_at_most
@@ -68,91 +68,55 @@ class VerificationReport:
 
 
 def stable_with_matching_at_most(
-    n: int,
-    r: int,
-    k: int,
-    *,
-    maximal: bool = False,
-    leaf_budget: int | None = None,
+    n: int, r: int, k: int, *, leaf_budget: int | None = None
 ):
-    """Stable r-graphs on [n] with ν <= k, via pruned downset search.
+    """The ⊆-maximal stable r-graphs on [n] with ν <= k, via pruned
+    downset search.
 
     Let t = r(k+1).  Any k+1 disjoint edges of a stable family can be
     moved into [t]: the order-preserving map of their union onto [t]
     lowers every vertex, so it sends each edge to one below it in ≺,
     again an edge (Frankl, "The shifting technique in extremal set
     theory", 1987).  So a stable family has ν <= k iff its edges inside
-    [t] do.
+    [t] do, and no walk on [n] is needed:
 
-    The walk asks whether an r-set e may join a stable family h with
-    ν(h) <= k, where h ∪ {e} is again stable.  If e is not inside [t],
-    the moved copies of k+1 disjoint edges of h ∪ {e} would all differ
-    from e, so h would hold them; hence e is accepted with no search.
-    Otherwise h ∪ {e} has k+1 disjoint edges iff it has them inside [t],
-    and they must use e, so e may join iff the edges of h inside [t]
-    that miss e have ν <= k-1.
-
-    With ``maximal`` only the ⊆-maximal families are yielded, and no
-    walk on [n] is needed:
-
-    - n > t: the maximal families on [n] are the lifts ext_n(G) of the
-      maximal families G on [t] (``shifting.lift``).  ext_n(G) is a
-      downset with trace G on [t], so ν <= k, and it is maximal: an
-      r-set that could join it either lies inside [t], where G is
-      maximal, or has its covers in it and so is in it already.  A
-      maximal F on [n] has a maximal trace G (an r-set that could join
-      the trace could join F), and F ⊆ ext_n(G), so F = ext_n(G).  The
-      walk runs on [t] and yields the lift of each family it yields.
-      All r-sets inside [t] come first in colex order, so the stream
-      order is that of the walk on [n].
+    - n >= t: the walk runs on [t].  It asks whether an r-set e may join
+      a stable family h with ν(h) <= k, where h ∪ {e} is again stable;
+      k+1 disjoint edges of h ∪ {e} must use e, so e may join iff the
+      edges of h that miss e have ν <= k-1.  For n > t the maximal
+      families on [n] are the lifts ext_n(G) of the maximal families G
+      on [t] (``shifting.lift``).  ext_n(G) is a downset with trace G on
+      [t], so ν <= k, and it is maximal: an r-set that could join it
+      either lies inside [t], where G is maximal, or has its covers in
+      it and so is in it already.  A maximal F on [n] has a maximal
+      trace G (an r-set that could join the trace could join F), and
+      F ⊆ ext_n(G), so F = ext_n(G).  All r-sets inside [t] come first
+      in colex order, so the stream order is that of the walk on [n].
     - n < t: no r-graph on [n] has t disjoint vertices to hold k+1
       disjoint edges, so the complete r-graph is the one maximal family,
       and it is yielded alone.
 
-    ``leaf_budget`` caps the families the walk on [min(n, t)] reaches
-    (on [n] without ``maximal``), so with ``maximal`` the budget a cell
-    needs does not depend on n >= t; for n < t the complete r-graph is
-    the one family reached.  It must be at least 1.  k >= 0.
+    ``leaf_budget`` caps the families the walk on [t] reaches, maximal
+    or not, so the budget a cell needs does not depend on n >= t; for
+    n < t the complete r-graph is the one family reached.  It must be at
+    least 1.  k >= 0.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
     if leaf_budget is not None and leaf_budget < 1:
         raise ValueError(f"leaf budget must be at least 1, got {leaf_budget}")
     t = r * (k + 1)
-    if maximal and n < t:
+    if n < t:
         return iter([Hypergraph.complete(n, r)])
-    m = min(n, t) if maximal else n  # the walk runs on [m]
-    outside = ((1 << m) - 1) ^ ((1 << min(m, t)) - 1)
 
     def fits(h: Hypergraph, e: int) -> bool:
-        if e & outside:
-            return True
-        blocked = e | outside
-        rest = tuple([f for f in h.edges if not f & blocked])
-        return has_matching_at_most(Hypergraph._make(m, r, rest), k - 1)
+        rest = tuple([f for f in h.edges if not f & e])
+        return has_matching_at_most(Hypergraph._make(t, r, rest), k - 1)
 
-    walk = enumerate_stable(m, r, fits, maximal=maximal, leaf_budget=leaf_budget)
-    if m == n:
+    walk = enumerate_stable(t, r, fits, maximal=True, leaf_budget=leaf_budget)
+    if n == t:
         return walk
     return (lift(g, n) for g in walk)
-
-
-def _reaches_regime_threshold(params: ExtremalParams) -> bool:
-    """Whether n >= the n-threshold of the regime, decided exactly.
-
-    I: 4(er)^p k with p = s-r+2;  II: 4r²k (er/(a-1))^p with p = s-r+a;
-    III: rk+r-1.
-    """
-    n, k, r, s = params.n, params.k, params.r, params.s
-    regime = params.regime
-    if regime == "III":
-        return n >= r * k + r - 1
-    if regime == "I":
-        p = s - r + 2
-        return _exceeds_e_power(n, 4 * r**p * k, p)
-    a = params.a
-    p = s - r + a
-    return _exceeds_e_power(n * (a - 1) ** p, 4 * r * r * k * r**p, p)
 
 
 def _descend(
@@ -230,9 +194,7 @@ def verify_extremal_cell(
     second_best = 0
     nodes = 0
     descended: set[tuple[int, ...]] = set()
-    for h in stable_with_matching_at_most(
-        n, r, k, maximal=True, leaf_budget=leaf_budget
-    ):
+    for h in stable_with_matching_at_most(n, r, k, leaf_budget=leaf_budget):
         nodes += 1
         val = count_cliques(h, s).total
         if val > observed:
@@ -245,7 +207,7 @@ def verify_extremal_cell(
             second_best = max(second_best, below)
             nodes += counted
 
-    a = {"I": 1, "II": params.a, "III": r}[regime]
+    a = params.level
     if n >= max(r, a * k + a - 1) and observed < bound:
         status = INVARIANT_BROKEN
     elif regime == "III" and n >= r * k + r - 1 and second_best > gap_bound:
@@ -255,7 +217,7 @@ def verify_extremal_cell(
     elif observed > bound:
         status = (
             COUNTEREXAMPLE
-            if _reaches_regime_threshold(params)
+            if reaches_regime_threshold(params)
             else BOUND_NOT_YET_ACTIVE
         )
     else:
@@ -318,7 +280,24 @@ def verify_proposition_3_2(
     n: int, k: int, r: int, s: int, *, leaf_budget: int | None = None
 ) -> VerificationReport:
     """Stable, ν <= k, every edge in an s-clique => every edge has at
-    least a = floor((s-r)/k)+1 vertices in [rk+a-1]."""
+    least a = floor((s-r)/k)+1 vertices in [rk+a-1].
+
+    The precondition is not monotone, but the edges it lets in are read
+    off the maximal families.  For a stable F with ν(F) <= k, let F_s be
+    the edges of F in an s-clique of F.  F_s is stable: lowering a vertex
+    x of an edge e ⊆ C, C an s-clique, to y gives an edge inside C if
+    y ∈ C, else inside C - x + y, an s-clique since F is a downset.  F_s
+    has ν <= k and meets the precondition, since every s-clique of F is
+    one of F_s.  A family G that meets it lies in a maximal M, and each
+    s-clique of G is one of M, so G ⊆ M_s.  So the edges of the families
+    that meet the precondition are those of the M_s, M maximal, and the
+    conclusion, a property of single edges, holds on all of them iff it
+    holds on every M_s.
+
+    ``observed_max`` counts the violating edges over all M_s, ``witness``
+    is the first M_s with one (a family that meets the precondition),
+    and ``nodes`` counts the maximal families.
+    """
     start = time.monotonic()
     if not k + r <= s <= r * k + r - 1:
         raise ValueError(f"need k+r <= s <= rk+r-1, got s={s}, k={k}, r={r}")
@@ -329,16 +308,12 @@ def verify_proposition_3_2(
     witness = None
     for h in stable_with_matching_at_most(n, r, k, leaf_budget=leaf_budget):
         nodes += 1
-        if not h.edges:
-            continue
         cliques = list(enumerate_cliques(h, s))
-        if not all(any(c & e == e for c in cliques) for e in h.edges):
-            continue  # precondition filter: some edge lies in no s-clique
-        for e in h.edges:
-            if (e & head_mask).bit_count() < a:
-                violations += 1
-                if witness is None:
-                    witness = h
+        core = [e for e in h.edges if any(c & e == e for c in cliques)]
+        bad = sum(1 for e in core if (e & head_mask).bit_count() < a)
+        violations += bad
+        if bad and witness is None:
+            witness = Hypergraph._make(n, r, tuple(core))
     status = CONFIRMED if violations == 0 else COUNTEREXAMPLE
     millis = int((time.monotonic() - start) * 1000)
     return VerificationReport(

@@ -10,12 +10,11 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from hyperext.cliques import count_cliques
+from hyperext.cliques import count_cliques, enumerate_cliques
 from hyperext.core import Hypergraph, r_subsets
-from hyperext.extremal import ExtremalParams, theorem_bound
+from hyperext.extremal import ExtremalParams, reaches_regime_threshold, theorem_bound
 from hyperext.matchings import has_matching_at_most
 from hyperext.shifting import precedes
-from hyperext.verifier import _reaches_regime_threshold
 
 # one line per acceptance criterion, printed after the run so the
 # verdicts survive pytest's output capture
@@ -180,7 +179,7 @@ def _cell_from_families(n: int, k: int, r: int, s: int, families) -> dict:
     elif observed == bound:
         status = "confirmed"
     elif observed > bound:
-        above = _reaches_regime_threshold(params)
+        above = reaches_regime_threshold(params)
         status = "counterexample" if above else "bound-not-yet-active"
     else:
         status = "bound-not-yet-active"
@@ -214,3 +213,37 @@ def every_graph_cell(n: int, k: int, r: int, s: int) -> dict:
     )
     families = (h for h in graphs if has_matching_at_most(h, k))
     return _cell_from_families(n, k, r, s, families)
+
+
+def clique_edges(h: Hypergraph, s: int) -> Hypergraph:
+    """h_s: the edges of ``h`` that lie in an s-clique of ``h``."""
+    cliques = list(enumerate_cliques(h, s))
+    return Hypergraph._make(
+        h.n, h.r, tuple([e for e in h.edges if any(c & e == e for c in cliques)])
+    )
+
+
+def prop32_families(n: int, k: int, r: int, s: int):
+    """The families Proposition 3.2 speaks of: every stable r-graph on
+    [n] with ν <= k, kept iff each of its edges lies in an s-clique."""
+    for h in naive_stable_families(n, r, nu_at_most_from_scratch(k)):
+        if clique_edges(h, s).edges == h.edges:
+            yield h
+
+
+def all_families_prop32_cell(n: int, k: int, r: int, s: int) -> dict:
+    """``verify_proposition_3_2`` the slow way: the violating edges are
+    counted on every family that meets the precondition, not on the
+    maximal families alone."""
+    a = (s - r) // k + 1
+    head_mask = (1 << (r * k + a - 1)) - 1
+    violations = sum(
+        1
+        for h in prop32_families(n, k, r, s)
+        for e in h.edges
+        if (e & head_mask).bit_count() < a
+    )
+    return {
+        "status": "confirmed" if violations == 0 else "counterexample",
+        "observed_max": violations,
+    }

@@ -1,22 +1,37 @@
 import gc
+import importlib.util
 import json
 from math import comb
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
 from conftest import (
+    all_families_prop32_cell,
     all_leaves_cell,
+    clique_edges,
     every_graph_cell,
     naive_matching_number,
     naive_stable_families,
     nu_at_most_from_scratch,
+    prop32_families,
 )
 from hyperext import verifier
 from hyperext.cliques import CliqueCount, count_cliques
-from hyperext.extremal import ExtremalParams, binom, closed_form_clique_count
-from hyperext.core import Hypergraph
-from hyperext.matchings import has_matching_at_most, matching_number
+from hyperext.extremal import (
+    ExtremalParams,
+    binom,
+    build_extremal_family,
+    closed_form_clique_count,
+    reaches_regime_threshold,
+)
+from hyperext.core import ColoredFamily, Hypergraph
+from hyperext.matchings import (
+    find_rainbow_matching,
+    has_matching_at_most,
+    matching_number,
+)
 from hyperext.shifting import (
     EnumerationBudgetError,
     enumerate_stable,
@@ -28,7 +43,6 @@ from hyperext.verifier import (
     CONFIRMED,
     INVARIANT_BROKEN,
     VerificationReport,
-    _reaches_regime_threshold,
     run_extremal_sweep,
     stable_with_matching_at_most,
     verify_extremal_cell,
@@ -46,15 +60,16 @@ class TestStableWithMatching:
             assert matching_number(h)[0] <= 1
 
     def test_no_qualifying_family_missed(self):
-        from hyperext.shifting import enumerate_stable
-
-        direct = {
-            h.edges
+        direct = [
+            set(h.edges)
             for h in enumerate_stable(6, 2)
             if matching_number(h)[0] <= 1
+        ]
+        tops = {
+            frozenset(d) for d in direct if not any(d < other for other in direct)
         }
-        pruned = {h.edges for h in stable_with_matching_at_most(6, 2, 1)}
-        assert pruned == direct
+        pruned = {frozenset(h.edges) for h in stable_with_matching_at_most(6, 2, 1)}
+        assert pruned == tops
 
     def test_nu_needs_only_the_edges_inside_the_span(self):
         # a stable family has k+1 disjoint edges iff it has them in [r(k+1)]
@@ -86,12 +101,9 @@ class TestStableWithMatching:
         ],
     )
     def test_span_restricted_walk_equals_the_per_element_walk(self, n, r, k):
-        for maximal in (False, True):
-            got = stable_with_matching_at_most(n, r, k, maximal=maximal)
-            want = naive_stable_families(
-                n, r, nu_at_most_from_scratch(k), maximal=maximal
-            )
-            assert [h.edges for h in got] == [h.edges for h in want]
+        got = stable_with_matching_at_most(n, r, k)
+        want = naive_stable_families(n, r, nu_at_most_from_scratch(k), maximal=True)
+        assert [h.edges for h in got] == [h.edges for h in want]
 
     @pytest.mark.parametrize(
         "r, k", [(1, 0), (1, 2), (2, 0), (2, 1), (2, 2), (3, 1), (3, 0), (4, 1)]
@@ -99,11 +111,9 @@ class TestStableWithMatching:
     def test_maximal_families_above_the_span_lift_those_on_it(self, r, k):
         t = r * (k + 1)
         span = (1 << t) - 1
-        on_span = [
-            h.edges for h in stable_with_matching_at_most(t, r, k, maximal=True)
-        ]
+        on_span = [h.edges for h in stable_with_matching_at_most(t, r, k)]
         for n in range(t + 1, t + 4):
-            got = list(stable_with_matching_at_most(n, r, k, maximal=True))
+            got = list(stable_with_matching_at_most(n, r, k))
             for h in got:
                 assert h.n == n and stable_closure_check(h)
                 assert naive_matching_number(h) <= k
@@ -114,12 +124,12 @@ class TestStableWithMatching:
         with pytest.raises(ValueError):
             stable_with_matching_at_most(5, 2, -1)
 
-    @pytest.mark.parametrize("n, maximal", [(6, False), (6, True), (8, True), (4, True)])
+    @pytest.mark.parametrize("n", [6, 8, 4])
     @pytest.mark.parametrize("budget", [0, -1])
-    def test_budget_below_one_rejected(self, n, maximal, budget):
+    def test_budget_below_one_rejected(self, n, budget):
         # (r, k) = (2, 2): n = 4 is below the span 6, where no walk runs
         with pytest.raises(ValueError):
-            stable_with_matching_at_most(n, 2, 2, maximal=maximal, leaf_budget=budget)
+            stable_with_matching_at_most(n, 2, 2, leaf_budget=budget)
 
 
 class TestExtremalCell:
@@ -218,10 +228,16 @@ class TestMaximalOnlySearch:
         ) > 6
 
     def test_no_reference_cycle_left_behind(self):
+        # two colours of the star on [8]: no rainbow matching, so the
+        # rainbow search exhausts
+        star = build_extremal_family(8, 1, 2, 1)
         routes = [
             lambda: verify_extremal_cell(7, 2, 2, 3),
             lambda: list(enumerate_stable(6, 2, maximal=True)),
-            lambda: list(stable_with_matching_at_most(7, 2, 2, maximal=True)),
+            lambda: list(stable_with_matching_at_most(7, 2, 2)),
+            lambda: verify_proposition_3_2(7, 1, 3, 4),
+            lambda: find_rainbow_matching(ColoredFamily(8, 2, (star, star))),
+            lambda: stable_closure_check(build_extremal_family(9, 2, 3, 1)),
         ]
         gc.collect()
         gc.disable()
@@ -281,12 +297,12 @@ def test_regime_threshold_is_exact():
                         continue
                     f = int(mp.floor(t))
                     for n in {1, max(f - 1, 1), max(f, 1), f + 1, f + 2}:
-                        got = _reaches_regime_threshold(ExtremalParams(n, k, r, s))
+                        got = reaches_regime_threshold(ExtremalParams(n, k, r, s))
                         assert got == (n >= t), (n, k, r, s)
                         checked += 1
     assert checked > 300
     # a float from math.e gets this one wrong
-    assert not _reaches_regime_threshold(ExtremalParams(179202002907511, 4, 5, 16))
+    assert not reaches_regime_threshold(ExtremalParams(179202002907511, 4, 5, 16))
 
 
 class TestRegimeIIIGap:
@@ -317,14 +333,92 @@ class TestProposition:
             rep = verify_proposition_3_2(n, k, r, s)
             assert rep.status == CONFIRMED
             assert rep.observed_max == 0
-            # the precondition is not monotone: every family is visited
+            assert rep.witness is None
+            # one node per maximal family
             assert rep.nodes == sum(
-                1 for _ in enumerate_stable(n, r, nu_at_most_from_scratch(k))
+                1
+                for _ in naive_stable_families(
+                    n, r, nu_at_most_from_scratch(k), maximal=True
+                )
             )
+
+    @pytest.mark.parametrize(
+        "n, k, r",
+        [
+            # n < r(k+1)
+            (3, 1, 2), (5, 1, 3), (5, 2, 2), (7, 1, 4), (7, 2, 3),
+            # n = r(k+1)
+            (4, 1, 2), (6, 1, 3), (6, 2, 2),
+            # n > r(k+1)
+            (5, 1, 2), (7, 1, 2), (7, 1, 3), (8, 1, 3), (7, 2, 2), (8, 2, 2),
+        ],
+    )
+    def test_agrees_with_every_family(self, n, k, r):
+        for s in range(k + r, r * k + r):
+            rep = verify_proposition_3_2(n, k, r, s)
+            got = {"status": rep.status, "observed_max": rep.observed_max}
+            assert got == all_families_prop32_cell(n, k, r, s), (n, k, r, s)
+
+    @pytest.mark.parametrize(
+        "n, k, r",
+        [
+            # n < r(k+1)
+            (5, 1, 3), (7, 1, 4), (7, 2, 3), (8, 4, 2),
+            # n = r(k+1)
+            (4, 1, 2), (6, 1, 3), (6, 2, 2), (8, 3, 2),
+            # n > r(k+1)
+            (6, 1, 2), (8, 1, 2), (7, 1, 3), (8, 1, 3), (9, 1, 3), (10, 1, 3),
+            (11, 1, 3), (7, 2, 2), (8, 2, 2), (9, 2, 2), (10, 2, 2), (9, 3, 2),
+            (10, 3, 2), (5, 2, 1), (7, 3, 1),
+        ],
+    )
+    def test_clique_edges_of_the_maximal_families_are_all_the_edges(self, n, k, r):
+        # the edges of the families that meet the precondition are those
+        # of M_s over the maximal M, and each M_s meets it; the lemma
+        # holds for every s above r, not only in the proposition's range
+        for s in range(r + 1, r * k + r):
+            want = {e for h in prop32_families(n, k, r, s) for e in h.edges}
+            got = set()
+            for m in stable_with_matching_at_most(n, r, k):
+                core = clique_edges(m, s)
+                assert stable_closure_check(core)
+                assert naive_matching_number(core) <= k
+                assert clique_edges(core, s) == core
+                got.update(core.edges)
+            assert got == want, (n, k, r, s)
 
     def test_domain_check(self):
         with pytest.raises(ValueError):
             verify_proposition_3_2(6, 1, 2, 2)  # s below k+r
+
+
+def _perfbench_tracing():
+    """The benchmark's tracing module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_hooks_resolve_on_the_verifier():
+    # the benchmark's --trace replaces these verifier globals by name
+    tracing = _perfbench_tracing()
+    originals = {name: getattr(verifier, name) for name in tracing.VERIFIER_HOOKS}
+    assert all(callable(fn) for fn in originals.values())
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        verifier.verify_extremal_cell(7, 2, 2, 3).to_json_line()
+    recorded = {span[0] for span in tracer.spans}
+    assert {
+        "verifier.cell",
+        "extremal.bound",
+        "shifting.walk",
+        "matchings.nu",
+        "cliques.count",
+        "core.serialize",
+    } <= recorded
+    assert all(getattr(verifier, name) is fn for name, fn in originals.items())
 
 
 class TestSweep:
