@@ -2,6 +2,8 @@
 
 from .cliques import CliqueCount, clique_census, count_cliques, enumerate_cliques
 from .core import (
+    Budget,
+    BudgetExceededError,
     ColoredFamily,
     Hypergraph,
     HypergraphFormatError,
@@ -26,7 +28,6 @@ from .extremal import (
     theorem_bound,
 )
 from .matchings import (
-    BudgetExceededError,
     Matching,
     RainbowMatching,
     find_rainbow_matching,

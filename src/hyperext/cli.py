@@ -17,19 +17,14 @@ from fractions import Fraction
 
 from . import core, shifting
 from .cliques import count_cliques
-from .core import ColoredFamily, HypergraphFormatError
+from .core import Budget, BudgetExceededError, ColoredFamily, HypergraphFormatError
 from .extremal import (
     binomial_inequality_suite,
     build_extremal_family,
     closed_form_clique_count,
     rainbow_hypothesis_check,
 )
-from .matchings import (
-    BudgetExceededError,
-    find_rainbow_matching,
-    matching_number,
-)
-from .shifting import EnumerationBudgetError
+from .matchings import find_rainbow_matching, matching_number
 from .verifier import (
     COUNTEREXAMPLE,
     INVARIANT_BROKEN,
@@ -86,7 +81,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_nu(args) -> int:
     h = _read_hypergraph(args.file)
-    nu, witness = matching_number(h, node_budget=args.budget)
+    nu, witness = matching_number(h, Budget(args.budget))
     edges = [core.labels_from_mask(e) for e in witness.edges]
     if args.format == "json":
         obj = {
@@ -128,11 +123,7 @@ def _cmd_closed_form(args) -> int:
 
 def _cmd_verify_extremal(args) -> int:
     report = verify_extremal_cell(
-        args.n,
-        args.k,
-        args.r,
-        args.s,
-        leaf_budget=args.budget,
+        args.n, args.k, args.r, args.s, budget=Budget(args.budget)
     )
     if args.format == "json":
         print(report.to_json_line())
@@ -380,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceededError, EnumerationBudgetError) as exc:
+    except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (HypergraphFormatError, ValueError, OSError) as exc:

@@ -4,7 +4,8 @@ Vertex sets are plain Python ints used as bit vectors: bit ``v`` set means
 vertex with external label ``v + 1`` is present.  All public I/O is
 1-indexed; everything internal works on 0-indexed bits.  Edges are kept
 deduplicated and sorted by numeric mask value, which is exactly colex
-order on the underlying vertex sets.
+order on the underlying vertex sets.  ``Budget`` is the one node budget
+that every exhaustive search spends from.
 """
 
 from __future__ import annotations
@@ -18,6 +19,38 @@ from typing import Iterable, Iterator
 
 class HypergraphFormatError(ValueError):
     """Raised when a .hg file (or equivalent text) is malformed."""
+
+
+class BudgetExceededError(RuntimeError):
+    """A search took more nodes than its ``Budget`` allows."""
+
+
+class Budget:
+    """A node budget shared by a search and every search inside it.
+
+    Each search spends one node per step from the budget it is handed:
+    the stable-family walk per family it reaches, the ν search per search
+    node, the regime-III descent per family it counts.  ``limit`` (None
+    for none, else at least 1) is the number of nodes all of them may
+    take together; the next one raises ``BudgetExceededError``.
+    """
+
+    __slots__ = ("limit", "left")
+
+    def __init__(self, limit: int | None = None):
+        if limit is not None and limit < 1:
+            raise ValueError(f"budget must be at least 1, got {limit}")
+        self.limit = limit
+        self.left = limit
+
+    def spend(self) -> None:
+        if self.left is None:
+            return
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExceededError(
+                f"search budget exceeded after {self.limit} nodes"
+            )
 
 
 def mask_from_labels(labels: Iterable[int]) -> int:

@@ -6,9 +6,10 @@ highest-indexed covered vertex versus discarding that vertex, and prunes
 when floor(covered/r) falls below the number of edges still needed.
 ``has_matching_at_most(h, k)`` is one search with target k+1.
 ``matching_number`` raises the target from 1 until the search fails;
-the last matching found is the witness, and its ``node_budget`` covers
-all rounds together.  Exactness is non-negotiable; exceeding the node
-budget raises instead of approximating.
+the last matching found is the witness.  Every search node spends one
+node of the ``core.Budget`` handed in, across all rounds and all calls
+that share it; exactness is non-negotiable, so running out raises
+``BudgetExceededError`` instead of approximating.
 
 Any pivot vertex is exact; the top one is chosen for stable input, which
 is all the verifier's walk asks about.  In a stable family, for i < j,
@@ -23,11 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ColoredFamily, Hypergraph, neighborhood
-
-
-class BudgetExceededError(RuntimeError):
-    """A search exceeded its configured node budget."""
+from .core import Budget, ColoredFamily, Hypergraph, neighborhood
 
 
 @dataclass(frozen=True)
@@ -68,24 +65,8 @@ def is_valid_rainbow_matching(fam: ColoredFamily, rm: RainbowMatching) -> bool:
     return True
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int | None):
-        if limit is not None and limit < 1:
-            raise ValueError(f"node budget must be at least 1, got {limit}")
-        self.left = limit
-
-    def spend(self) -> None:
-        if self.left is None:
-            return
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceededError("matching search node budget exceeded")
-
-
 def _find_matching(
-    avail: list[int], need: int, r: int, budget: _Budget
+    avail: list[int], need: int, r: int, budget: Budget
 ) -> list[int] | None:
     """``need`` pairwise-disjoint edges from ``avail`` (last pick first), or None."""
     budget.spend()
@@ -109,10 +90,10 @@ def _find_matching(
 
 
 def matching_number(
-    h: Hypergraph, node_budget: int | None = None
+    h: Hypergraph, budget: Budget | None = None
 ) -> tuple[int, Matching]:
     """Exact ν(h) and a maximum matching witnessing it."""
-    budget = _Budget(node_budget)
+    budget = budget or Budget()
     edges = list(h.edges)
     best: list[int] = []
     while True:
@@ -123,10 +104,10 @@ def matching_number(
 
 
 def has_matching_at_most(
-    h: Hypergraph, k: int, node_budget: int | None = None
+    h: Hypergraph, k: int, budget: Budget | None = None
 ) -> bool:
     """True iff ν(h) <= k; stops as soon as k+1 disjoint edges are found."""
-    return _find_matching(list(h.edges), k + 1, h.r, _Budget(node_budget)) is None
+    return _find_matching(list(h.edges), k + 1, h.r, budget or Budget()) is None
 
 
 def _rainbow_picks(

@@ -14,8 +14,10 @@ covers (immediate ≺-predecessors) are all in it, kept up to date by
 counting each r-set's missing covers.  A candidate the predicate rejects
 is never asked about again below that family.  The families come in the
 order of the plain per-element walk that excludes each r-set before it
-includes it, the ``maximal`` filter keeps the same families, and
-``leaf_budget`` counts the same families; ``enumerate_stable`` says why.
+includes it, and the ``maximal`` filter keeps the same families;
+``enumerate_stable`` says why.  The walk spends one node of its
+``core.Budget`` per family it reaches, yielded or not, and the
+predicate may spend from the same budget.
 
 ``lift(g, n)`` extends a stable family g on [t] to the largest stable
 family on [n] whose trace on [t] is g, in one colex pass over the
@@ -30,20 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import Hypergraph, labels_from_mask, r_subsets
-
-
-class EnumerationBudgetError(RuntimeError):
-    """Stable-family enumeration exceeded its budget.
-
-    ``yielded`` is the number of passing families the walk had reached
-    (its leaves, in the message), whether or not they were yielded: with
-    ``maximal`` most are not.
-    """
-
-    def __init__(self, message: str, yielded: int):
-        super().__init__(message)
-        self.yielded = yielded
+from .core import Budget, Hypergraph, labels_from_mask, r_subsets
 
 
 @dataclass(frozen=True)
@@ -198,7 +187,7 @@ def enumerate_stable(
     predicate: Callable[[Hypergraph, int], bool] | None = None,
     *,
     maximal: bool = False,
-    leaf_budget: int | None = None,
+    budget: Budget | None = None,
 ) -> Iterator[Hypergraph]:
     """Yield the stable r-graphs on [n], i.e. the downsets of ≺, that pass.
 
@@ -233,15 +222,13 @@ def enumerate_stable(
     An r-set once rejected needs no second question, since the family
     only grows.
 
-    ``leaf_budget`` caps the passing families the walk reaches, yielded or
-    not, and must be at least 1.  It is charged once per node, so it trips
-    at the same family as the per-element walk, which charged once per
-    leaf.
+    ``budget`` is spent once per passing family the walk reaches, yielded
+    or not, before the predicate is asked about its candidates; a
+    predicate that spends from the same budget is charged on top.
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if leaf_budget is not None and leaf_budget < 1:
-        raise ValueError(f"leaf budget must be at least 1, got {leaf_budget}")
+    budget = budget or Budget()
     elements = sorted(r_subsets(n, r))
     position = {e: i for i, e in enumerate(elements)}
     # up[i]: the elements that element i covers, ascending;
@@ -260,15 +247,8 @@ def enumerate_stable(
     # position of the child being walked
     stack: list[list] = []
     candidates = [i for i, c in enumerate(missing) if not c]
-    reached = 0
     while True:
-        reached += 1
-        if leaf_budget is not None and reached > leaf_budget:
-            raise EnumerationBudgetError(
-                f"stable enumeration budget exceeded after "
-                f"{reached - 1} leaves",
-                reached - 1,
-            )
+        budget.spend()
         h = Hypergraph._make(n, r, tuple(included))
         if predicate is None:
             accepted = candidates

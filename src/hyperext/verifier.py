@@ -7,7 +7,9 @@ one.  The downset walk of ``shifting.enumerate_stable`` is the only
 search; the verifier takes only the maximal families from it, on
 [min(n, r(k+1))] (``stable_with_matching_at_most`` says why), and both
 the extremal cell and Proposition 3.2 read those alone
-(``verify_proposition_3_2`` says why for the latter).
+(``verify_proposition_3_2`` says why for the latter).  Both hand one
+``core.Budget`` to the walk, to every ν search inside it and to the
+regime-III descent.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .cliques import count_cliques, enumerate_cliques
-from .core import ColoredFamily, Hypergraph, serialize
+from .core import Budget, ColoredFamily, Hypergraph, serialize
 from .extremal import (
     ExtremalParams,
     build_extremal_family,
@@ -68,7 +70,7 @@ class VerificationReport:
 
 
 def stable_with_matching_at_most(
-    n: int, r: int, k: int, *, leaf_budget: int | None = None
+    n: int, r: int, k: int, *, budget: Budget | None = None
 ):
     """The ⊆-maximal stable r-graphs on [n] with ν <= k, via pruned
     downset search.
@@ -96,38 +98,39 @@ def stable_with_matching_at_most(
       disjoint edges, so the complete r-graph is the one maximal family,
       and it is yielded alone.
 
-    ``leaf_budget`` caps the families the walk on [t] reaches, maximal
-    or not, so the budget a cell needs does not depend on n >= t; for
-    n < t the complete r-graph is the one family reached.  It must be at
-    least 1.  k >= 0.
+    ``budget`` is spent by the walk on [t], one node per family it
+    reaches, maximal or not, and by every ν search it asks, one node per
+    search node; the lift is not charged, since it runs once per family
+    the walk has charged.  So the budget a cell needs does not depend on
+    n >= t.  For n < t the complete r-graph costs one node.  k >= 0.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
-    if leaf_budget is not None and leaf_budget < 1:
-        raise ValueError(f"leaf budget must be at least 1, got {leaf_budget}")
+    budget = budget or Budget()
     t = r * (k + 1)
     if n < t:
+        budget.spend()
         return iter([Hypergraph.complete(n, r)])
 
     def fits(h: Hypergraph, e: int) -> bool:
         rest = tuple([f for f in h.edges if not f & e])
-        return has_matching_at_most(Hypergraph._make(t, r, rest), k - 1)
+        return has_matching_at_most(Hypergraph._make(t, r, rest), k - 1, budget)
 
-    walk = enumerate_stable(t, r, fits, maximal=True, leaf_budget=leaf_budget)
+    walk = enumerate_stable(t, r, fits, maximal=True, budget=budget)
     if n == t:
         return walk
     return (lift(g, n) for g in walk)
 
 
 def _descend(
-    h: Hypergraph, s: int, bound: int, seen: set[tuple[int, ...]]
+    h: Hypergraph, s: int, bound: int, seen: set[tuple[int, ...]], budget: Budget
 ) -> tuple[int, int]:
     """Count K_s^r on every removal of one maximal edge from ``h``, and
     onward from each such child still at or above ``bound``.
 
     Returns the largest value below ``bound`` met (0 if none) and the
     number of families counted.  Families in ``seen`` are skipped, and
-    every family counted is added to it.
+    every family counted is added to it and spends one node of ``budget``.
     """
     best = counted = 0
     stack = [h]
@@ -140,6 +143,7 @@ def _descend(
             if child.edges in seen:
                 continue
             seen.add(child.edges)
+            budget.spend()
             counted += 1
             val = count_cliques(child, s).total
             if val < bound:
@@ -155,7 +159,7 @@ def verify_extremal_cell(
     r: int,
     s: int,
     *,
-    leaf_budget: int | None = None,
+    budget: Budget | None = None,
 ) -> VerificationReport:
     """Max of K_s^r over (stable) r-graphs with ν <= k versus the bound.
 
@@ -184,6 +188,9 @@ def verify_extremal_cell(
     stable with ν <= k, so the maximum is at least the bound; a smaller
     maximum means the search is broken and is reported as
     ``invariant-broken``, never as a verdict.
+
+    ``budget`` covers the walk, its ν searches and the descent, one node
+    per family counted; clique counts run on families already charged.
     """
     start = time.monotonic()
     params = ExtremalParams(n=n, k=k, r=r, s=s)
@@ -194,7 +201,8 @@ def verify_extremal_cell(
     second_best = 0
     nodes = 0
     descended: set[tuple[int, ...]] = set()
-    for h in stable_with_matching_at_most(n, r, k, leaf_budget=leaf_budget):
+    budget = budget or Budget()
+    for h in stable_with_matching_at_most(n, r, k, budget=budget):
         nodes += 1
         val = count_cliques(h, s).total
         if val > observed:
@@ -203,23 +211,20 @@ def verify_extremal_cell(
         if val < bound:
             second_best = max(second_best, val)
         elif regime == "III":
-            below, counted = _descend(h, s, bound, descended)
+            below, counted = _descend(h, s, bound, descended, budget)
             second_best = max(second_best, below)
             nodes += counted
 
     a = params.level
+    past_threshold = reaches_regime_threshold(params)
     if n >= max(r, a * k + a - 1) and observed < bound:
         status = INVARIANT_BROKEN
-    elif regime == "III" and n >= r * k + r - 1 and second_best > gap_bound:
+    elif regime == "III" and past_threshold and second_best > gap_bound:
         status = COUNTEREXAMPLE
     elif observed == bound:
         status = CONFIRMED
     elif observed > bound:
-        status = (
-            COUNTEREXAMPLE
-            if reaches_regime_threshold(params)
-            else BOUND_NOT_YET_ACTIVE
-        )
+        status = COUNTEREXAMPLE if past_threshold else BOUND_NOT_YET_ACTIVE
     else:
         status = BOUND_NOT_YET_ACTIVE
 
@@ -277,7 +282,7 @@ def verify_rainbow_cell(
 
 
 def verify_proposition_3_2(
-    n: int, k: int, r: int, s: int, *, leaf_budget: int | None = None
+    n: int, k: int, r: int, s: int, *, budget: Budget | None = None
 ) -> VerificationReport:
     """Stable, ν <= k, every edge in an s-clique => every edge has at
     least a = floor((s-r)/k)+1 vertices in [rk+a-1].
@@ -296,7 +301,8 @@ def verify_proposition_3_2(
 
     ``observed_max`` counts the violating edges over all M_s, ``witness``
     is the first M_s with one (a family that meets the precondition),
-    and ``nodes`` counts the maximal families.
+    and ``nodes`` counts the maximal families.  ``budget`` covers the
+    walk and its ν searches, as in ``verify_extremal_cell``.
     """
     start = time.monotonic()
     if not k + r <= s <= r * k + r - 1:
@@ -306,7 +312,7 @@ def verify_proposition_3_2(
     violations = 0
     nodes = 0
     witness = None
-    for h in stable_with_matching_at_most(n, r, k, leaf_budget=leaf_budget):
+    for h in stable_with_matching_at_most(n, r, k, budget=budget):
         nodes += 1
         cliques = list(enumerate_cliques(h, s))
         core = [e for e in h.edges if any(c & e == e for c in cliques)]
@@ -336,10 +342,12 @@ def _cell_worker(cell: tuple[int, int, int, int]) -> VerificationReport:
 def run_extremal_sweep(
     cells: list[tuple[int, int, int, int]], jobs: int = 1
 ) -> list[VerificationReport]:
-    """Run independent cells, results ordered by cell key regardless of
-    completion order."""
+    """Run independent cells in ``jobs`` >= 1 processes, results ordered by
+    cell key regardless of completion order."""
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     ordered = sorted(set(cells))
-    if jobs <= 1:
+    if jobs == 1:
         return [_cell_worker(c) for c in ordered]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_cell_worker, ordered))

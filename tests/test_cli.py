@@ -166,7 +166,16 @@ class TestVerify:
             "--budget", "100",
         )
         assert code == 3 and out == ""
-        assert "error:" in err and "after 100 leaves" in err
+        assert "error:" in err and "after 100 nodes" in err
+
+    def test_budget_counts_walk_and_nu_search_nodes(self, capsys):
+        # the figure README gives: 11,720 families and 41,040 ν-search nodes
+        cell = ["--n", "9", "--k", "2", "--r", "3", "--s", "5"]
+        code, out, _ = run(capsys, "verify", "extremal", *cell, "--budget", "52760")
+        assert code == 0 and "bound-not-yet-active" in out
+        code, out, err = run(capsys, "verify", "extremal", *cell, "--budget", "52759")
+        assert code == 3 and out == ""
+        assert "after 52759 nodes" in err
 
     # (9, 2, 3, 5) walks [9]; (10, 3, 3, 6) is below the span r(k+1) = 12,
     # where no walk runs
@@ -206,7 +215,9 @@ class TestVerify:
         from hyperext import verifier
 
         # a ν test that rejects every edge leaves only the empty family
-        monkeypatch.setattr(verifier, "has_matching_at_most", lambda h, k: False)
+        monkeypatch.setattr(
+            verifier, "has_matching_at_most", lambda h, k, budget: False
+        )
         code, out, _ = run(
             capsys, "verify", "extremal", "--n", "6", "--k", "1", "--r", "2", "--s", "2"
         )
@@ -219,6 +230,17 @@ class TestVerify:
         assert [json.loads(l)["status"] for l in out.splitlines()] == [
             "invariant-broken"
         ] * 2
+
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_exit_2(self, capsys, tmp_path, jobs):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("r=2, k=1, s=2, n=5..6\n")
+        code, out, err = run(
+            capsys, "verify", "sweep", "--config", str(cfg), "--jobs", jobs
+        )
+        assert code == 2 and out == ""
+        assert "error:" in err and "jobs" in err
 
 
 class TestSweepConfigGrammar:

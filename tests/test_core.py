@@ -6,6 +6,8 @@ from hypothesis import example, given, settings
 
 from conftest import hosts
 from hyperext.core import (
+    Budget,
+    BudgetExceededError,
     Hypergraph,
     HypergraphFormatError,
     degree,
@@ -179,3 +181,25 @@ class TestFileFormat:
         with pytest.warns(UserWarning):
             h = parse("3 2\n1 2\n2 1\n")
         assert h.edge_count == 1
+
+
+class TestBudget:
+    def test_spends_up_to_its_limit_then_raises(self):
+        budget = Budget(3)
+        for left in (2, 1, 0):
+            budget.spend()
+            assert budget.left == left
+        with pytest.raises(BudgetExceededError) as info:
+            budget.spend()
+        assert str(info.value) == "search budget exceeded after 3 nodes"
+
+    def test_no_limit_never_raises(self):
+        budget = Budget()
+        for _ in range(1000):
+            budget.spend()
+        assert budget.left is None
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            Budget(limit)

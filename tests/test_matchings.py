@@ -4,10 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import hosts, naive_matching_number
-from hyperext.core import ColoredFamily, Hypergraph, degree, mask_from_labels
+from hyperext.core import (
+    Budget,
+    BudgetExceededError,
+    ColoredFamily,
+    Hypergraph,
+    degree,
+    mask_from_labels,
+)
 from hyperext.extremal import binom, build_extremal_family
 from hyperext.matchings import (
-    BudgetExceededError,
     find_rainbow_matching,
     greedy_matching_from_disjoint_tuples,
     greedy_matching_from_high_degree_vertices,
@@ -67,15 +73,21 @@ class TestMatchingNumber:
     def test_budget_exceeded_is_hard_error(self):
         h = Hypergraph.complete(9, 3)
         with pytest.raises(BudgetExceededError):
-            matching_number(h, node_budget=5)
+            matching_number(h, Budget(5))
 
-    @pytest.mark.parametrize("budget", [0, -1])
-    def test_budget_below_one_rejected(self, budget):
-        h = Hypergraph.complete(5, 2)
-        with pytest.raises(ValueError):
-            matching_number(h, node_budget=budget)
-        with pytest.raises(ValueError):
-            has_matching_at_most(h, 1, node_budget=budget)
+    def test_budget_covers_every_round(self):
+        # the star on [6]: round 1 takes 2 nodes, the failing round 2 takes 7
+        h = build_extremal_family(6, 1, 2, 1)
+        budget = Budget(9)
+        assert matching_number(h, budget)[0] == 1
+        assert budget.left == 0
+        with pytest.raises(BudgetExceededError):
+            matching_number(h, Budget(8))
+        # has_matching_at_most spends from the budget it is handed
+        budget = Budget(7)
+        assert has_matching_at_most(h, 1, budget) and budget.left == 0
+        with pytest.raises(BudgetExceededError):
+            has_matching_at_most(h, 1, Budget(6))
 
 
 class TestHasMatchingAtMost:

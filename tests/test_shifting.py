@@ -10,12 +10,17 @@ from conftest import (
     nu_at_most_from_scratch,
 )
 from hyperext.cliques import clique_census, count_cliques
-from hyperext.core import Hypergraph, mask_from_labels, r_subsets
+from hyperext.core import (
+    Budget,
+    BudgetExceededError,
+    Hypergraph,
+    mask_from_labels,
+    r_subsets,
+)
 from hyperext.extremal import build_extremal_family
 from hyperext.matchings import matching_number
 from hyperext.randgen import random_hypergraph
 from hyperext.shifting import (
-    EnumerationBudgetError,
     enumerate_stable,
     is_stable,
     lift,
@@ -204,25 +209,23 @@ STREAM_GRID = [(5, 1), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (6, 4)]
 
 def _assert_same_stream_as_oracle(n, r, pred):
     """Same families in the same order, maximal or not, and the same
-    trip points and messages for leaf budgets 1, 10 and 100."""
+    trip points for budgets of 1, 10 and 100 nodes: ``pred`` spends
+    nothing, so the walk spends one node per family it reaches."""
     every = [h.edges for h in naive_stable_families(n, r, pred)]
     tops = [h.edges for h in naive_stable_families(n, r, pred, maximal=True)]
     for maximal, stream in [(False, every), (True, tops)]:
         got = [h.edges for h in enumerate_stable(n, r, pred, maximal=maximal)]
         assert got == stream
         for budget in (1, 10, 100):
-            walk = enumerate_stable(n, r, pred, maximal=maximal, leaf_budget=budget)
+            walk = enumerate_stable(n, r, pred, maximal=maximal, budget=Budget(budget))
             if len(every) <= budget:
                 assert [h.edges for h in walk] == stream
                 continue
             got = []
-            with pytest.raises(EnumerationBudgetError) as info:
+            with pytest.raises(BudgetExceededError) as info:
                 for h in walk:
                     got.append(h.edges)
-            assert info.value.yielded == budget
-            assert str(info.value) == (
-                f"stable enumeration budget exceeded after {budget} leaves"
-            )
+            assert str(info.value) == f"search budget exceeded after {budget} nodes"
             reached = set(every[:budget])
             assert got == [f for f in stream if f in reached]
 
@@ -311,16 +314,12 @@ class TestEnumerateStable:
             _assert_same_stream_as_oracle(n, r, pred)
 
     def test_budget_error_carries_progress(self):
-        with pytest.raises(EnumerationBudgetError) as info:
-            for _ in enumerate_stable(5, 2, leaf_budget=10):
+        with pytest.raises(BudgetExceededError, match="after 10 nodes"):
+            for _ in enumerate_stable(5, 2, budget=Budget(10)):
                 pass
-        assert info.value.yielded == 10
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_stable(2, 3))
         with pytest.raises(ValueError):
             list(enumerate_stable(3, 0))
-        for budget in (0, -1):
-            with pytest.raises(ValueError):
-                list(enumerate_stable(5, 2, leaf_budget=budget))

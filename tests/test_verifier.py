@@ -26,14 +26,13 @@ from hyperext.extremal import (
     closed_form_clique_count,
     reaches_regime_threshold,
 )
-from hyperext.core import ColoredFamily, Hypergraph
+from hyperext.core import Budget, BudgetExceededError, ColoredFamily, Hypergraph
 from hyperext.matchings import (
     find_rainbow_matching,
     has_matching_at_most,
     matching_number,
 )
 from hyperext.shifting import (
-    EnumerationBudgetError,
     enumerate_stable,
     is_stable,
     stable_closure_check,
@@ -125,11 +124,13 @@ class TestStableWithMatching:
             stable_with_matching_at_most(5, 2, -1)
 
     @pytest.mark.parametrize("n", [6, 8, 4])
-    @pytest.mark.parametrize("budget", [0, -1])
-    def test_budget_below_one_rejected(self, n, budget):
+    def test_spent_budget_stops_the_stream(self, n):
         # (r, k) = (2, 2): n = 4 is below the span 6, where no walk runs
-        with pytest.raises(ValueError):
-            stable_with_matching_at_most(n, 2, 2, leaf_budget=budget)
+        # but the complete graph still costs one node
+        budget = Budget(1)
+        budget.spend()
+        with pytest.raises(BudgetExceededError):
+            list(stable_with_matching_at_most(n, 2, 2, budget=budget))
 
 
 class TestExtremalCell:
@@ -177,6 +178,18 @@ class TestExtremalCell:
         assert obj["status"] == CONFIRMED
         assert obj["claimed_bound"] == "5"
         assert obj["millis"] == 0
+
+
+def _assert_budget_needed(verify, cell, need):
+    """``verify(*cell)`` passes with a budget of ``need`` nodes, with the
+    report it gives unbudgeted, and raises with one node less."""
+    rep = verify(*cell, budget=Budget(need))
+    assert rep.to_json_line(omit_timing=True) == verify(*cell).to_json_line(
+        omit_timing=True
+    )
+    with pytest.raises(BudgetExceededError, match=f"after {need - 1} nodes"):
+        verify(*cell, budget=Budget(need - 1))
+    return rep
 
 
 def _small_cells(max_universe: int):
@@ -248,29 +261,41 @@ class TestMaximalOnlySearch:
         finally:
             gc.enable()
 
-    def test_leaf_budget_counts_every_leaf_reached(self):
-        with pytest.raises(EnumerationBudgetError) as info:
-            verify_extremal_cell(9, 2, 3, 5, leaf_budget=1000)
-        assert info.value.yielded == 1000
-
     @pytest.mark.parametrize("n", [9, 12])
     def test_budget_a_cell_needs_does_not_depend_on_n(self, n):
-        # above the span r(k+1) = 9 the walk still runs on [9]
-        rep = verify_extremal_cell(n, 2, 3, 5, leaf_budget=11720)
+        # above the span r(k+1) = 9 the walk still runs on [9]: 11,720
+        # families and 41,040 nodes of the ν searches they ask
+        rep = _assert_budget_needed(verify_extremal_cell, (n, 2, 3, 5), 52760)
         assert rep.nodes == 68
-        with pytest.raises(EnumerationBudgetError) as info:
-            verify_extremal_cell(n, 2, 3, 5, leaf_budget=11719)
-        assert info.value.yielded == 11719
+
+    @pytest.mark.parametrize(
+        "n, k, r, s, need",
+        [
+            (14, 5, 2, 3, 10478),
+            (20, 5, 2, 3, 10478),
+            # regime III: the descent spends one node per family it counts
+            (8, 1, 3, 5, 97),
+            (14, 1, 3, 5, 97),
+        ],
+    )
+    def test_one_budget_covers_every_inner_search(self, n, k, r, s, need):
+        _assert_budget_needed(verify_extremal_cell, (n, k, r, s), need)
 
     def test_below_the_span_the_complete_graph_is_the_one_family(self):
         # r(k+1) = 12 > 10: no 3-graph on [10] has 4 disjoint edges
-        rep = verify_extremal_cell(10, 3, 3, 6, leaf_budget=1)
+        rep = verify_extremal_cell(10, 3, 3, 6, budget=Budget(1))
         assert rep.nodes == 1
         assert rep.observed_max == 210 == comb(10, 6)
         assert rep.witness == Hypergraph.complete(10, 3)
+        budget = Budget(1)
+        budget.spend()
+        with pytest.raises(BudgetExceededError):
+            verify_extremal_cell(10, 3, 3, 6, budget=budget)
 
     def test_broken_invariant_is_reported(self, monkeypatch):
-        monkeypatch.setattr(verifier, "has_matching_at_most", lambda h, k: False)
+        monkeypatch.setattr(
+            verifier, "has_matching_at_most", lambda h, k, budget: False
+        )
         rep = verify_extremal_cell(6, 1, 2, 2)
         assert rep.observed_max == 0 < rep.claimed_bound
         assert rep.status == INVARIANT_BROKEN
@@ -391,6 +416,10 @@ class TestProposition:
         with pytest.raises(ValueError):
             verify_proposition_3_2(6, 1, 2, 2)  # s below k+r
 
+    def test_budget_covers_the_walk_and_its_nu_searches(self):
+        # the same walk and ν searches as the extremal cell (9, 2, 3, 5)
+        _assert_budget_needed(verify_proposition_3_2, (9, 2, 3, 5), 52760)
+
 
 def _perfbench_tracing():
     """The benchmark's tracing module, loaded from its file."""
@@ -409,6 +438,8 @@ def test_benchmark_trace_hooks_resolve_on_the_verifier():
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         verifier.verify_extremal_cell(7, 2, 2, 3).to_json_line()
+        # the wrappers hand the budget on to the walk and the ν searches
+        _assert_budget_needed(verifier.verify_extremal_cell, (7, 2, 2, 3), 65)
     recorded = {span[0] for span in tracer.spans}
     assert {
         "verifier.cell",
@@ -435,6 +466,11 @@ class TestSweep:
         assert [r.to_json_line(omit_timing=True) for r in serial] == [
             r.to_json_line(omit_timing=True) for r in parallel
         ]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_extremal_sweep(self.CELLS, jobs=jobs)
 
     def test_sweep_agrees_with_closed_form(self):
         reports = run_extremal_sweep([(n, 1, 2, 2) for n in range(5, 9)])
