@@ -30,6 +30,7 @@ from .extremal import (
 from .matchings import (
     Matching,
     RainbowMatching,
+    find_matching,
     find_rainbow_matching,
     greedy_matching_from_disjoint_tuples,
     greedy_matching_from_high_degree_vertices,

@@ -30,7 +30,8 @@ class Budget:
 
     Each search spends one node per step from the budget it is handed:
     the stable-family walk per family it reaches, the ν search per search
-    node, the regime-III descent per family it counts.  ``limit`` (None
+    node, whether the walk runs it or the verifier re-checks a witness,
+    and the regime-III descent per family it counts.  ``limit`` (None
     for none, else at least 1) is the number of nodes all of them may
     take together; the next one raises ``BudgetExceededError``.
     """

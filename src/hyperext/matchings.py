@@ -4,9 +4,10 @@ One exhaustive search decides whether a target number of pairwise
 disjoint edges exists: it branches on every edge through the
 highest-indexed covered vertex versus discarding that vertex, and prunes
 when floor(covered/r) falls below the number of edges still needed.
-``has_matching_at_most(h, k)`` is one search with target k+1.
-``matching_number`` raises the target from 1 until the search fails;
-the last matching found is the witness.  Every search node spends one
+``find_matching(h, size)`` returns the matching that search finds, or
+None; ``has_matching_at_most(h, k)`` is one search with target k+1, and
+``matching_number`` raises the target from 1 until the search fails,
+the last matching found being the witness.  Every search node spends one
 node of the ``core.Budget`` handed in, across all rounds and all calls
 that share it; exactness is non-negotiable, so running out raises
 ``BudgetExceededError`` instead of approximating.
@@ -89,17 +90,24 @@ def _find_matching(
     return _find_matching([f for f in avail if not f & vbit], need, r, budget)
 
 
+def find_matching(
+    h: Hypergraph, size: int, budget: Budget | None = None
+) -> Matching | None:
+    """``size`` pairwise-disjoint edges of ``h``, or None if it has none."""
+    found = _find_matching(list(h.edges), size, h.r, budget or Budget())
+    return None if found is None else Matching(tuple(reversed(found)))
+
+
 def matching_number(
     h: Hypergraph, budget: Budget | None = None
 ) -> tuple[int, Matching]:
     """Exact ν(h) and a maximum matching witnessing it."""
     budget = budget or Budget()
-    edges = list(h.edges)
-    best: list[int] = []
+    best = Matching(())
     while True:
-        found = _find_matching(edges, len(best) + 1, h.r, budget)
+        found = find_matching(h, len(best) + 1, budget)
         if found is None:
-            return len(best), Matching(tuple(reversed(best)))
+            return len(best), best
         best = found
 
 
@@ -107,7 +115,7 @@ def has_matching_at_most(
     h: Hypergraph, k: int, budget: Budget | None = None
 ) -> bool:
     """True iff ν(h) <= k; stops as soon as k+1 disjoint edges are found."""
-    return _find_matching(list(h.edges), k + 1, h.r, budget or Budget()) is None
+    return find_matching(h, k + 1, budget) is None
 
 
 def _rainbow_picks(

@@ -14,17 +14,22 @@ covers (immediate ≺-predecessors) are all in it, kept up to date by
 counting each r-set's missing covers.  A candidate the predicate rejects
 is never asked about again below that family.  The families come in the
 order of the plain per-element walk that excludes each r-set before it
-includes it, and the ``maximal`` filter keeps the same families;
-``enumerate_stable`` says why.  The walk spends one node of its
-``core.Budget`` per family it reaches, yielded or not, and the
-predicate may spend from the same budget.
+includes it.  The ``maximal`` filter keeps the same families, and it
+skips every subtree that holds none: an r-set passed over above a node
+that the predicate accepts against U, an upper bound on every family
+below the node, can join each of them.  This needs the predicate to be
+antitone in the family; ``enumerate_stable`` states the contract and
+says why.  The walk spends one node of its ``core.Budget`` per family
+it reaches, yielded or not, and the predicate may spend from the same
+budget.
 
 ``lift(g, n)`` extends a stable family g on [t] to the largest stable
 family on [n] whose trace on [t] is g, in one colex pass over the
-r-sets that leave [t].  A property closed under sub-downsets that
-depends only on the trace on [t], such as ν <= k for t = r(k+1), has
-its maximal families on [n] exactly the lifts of those on [t]; the
-verifier walks [t] alone for that reason.
+r-sets that leave [t]; ``lifter(t, n, r)`` lists those r-sets once for
+many families.  A property closed under sub-downsets that depends only
+on the trace on [t], such as ν <= k for t = r(k+1), has its maximal
+families on [n] exactly the lifts of those on [t]; the verifier walks
+[t] alone for that reason.
 """
 
 from __future__ import annotations
@@ -152,6 +157,24 @@ def _covers(e: int) -> list[int]:
     return out
 
 
+def lifter(t: int, n: int, r: int) -> Callable[[Hypergraph], Hypergraph]:
+    """ext_n on the stable r-graphs on [t], t <= n: ``lifter(t, n, r)(g)``
+    is ``lift(g, n)``.  The r-sets that leave [t] and their covers are
+    listed once, for every family lifted."""
+    leaving = [(e, _covers(e)) for e in sorted(r_subsets(n, r)) if e >> t]
+
+    def ext(g: Hypergraph) -> Hypergraph:
+        edges = list(g.edges)
+        present = set(edges)
+        for e, covers in leaving:
+            if all(c in present for c in covers):
+                edges.append(e)
+                present.add(e)
+        return Hypergraph._make(n, r, tuple(edges))
+
+    return ext
+
+
 def lift(g: Hypergraph, n: int) -> Hypergraph:
     """ext_n(g): the largest downset on [n] whose trace on [g.n] is ``g``.
 
@@ -162,13 +185,7 @@ def lift(g: Hypergraph, n: int) -> Hypergraph:
     decides each r-set from those before it, and the edges come out in
     colex order.
     """
-    edges = list(g.edges)
-    present = set(edges)
-    for e in sorted(r_subsets(n, g.r)):
-        if e >> g.n and all(c in present for c in _covers(e)):
-            edges.append(e)
-            present.add(e)
-    return Hypergraph._make(n, g.r, tuple(edges))
+    return lifter(g.n, n, g.r)(g)
 
 
 def maximal_edges(h: Hypergraph) -> list[int]:
@@ -192,9 +209,12 @@ def enumerate_stable(
     """Yield the stable r-graphs on [n], i.e. the downsets of ≺, that pass.
 
     ``predicate(h, e)`` says whether the r-set ``e``, all of whose covers
-    are edges of ``h``, may join ``h``, a stable family that already
-    passes.  Passing must be closed under taking sub-downsets (e.g.
-    ν <= k).
+    are edges of the stable family ``h``, may join ``h``.  It must be
+    antitone in ``h`` for every stable ``h``, passing or not: if
+    h' ⊆ h are stable, e's covers lie in h' and ``predicate(h, e)``
+    holds, so does ``predicate(h', e)``.  Then passing, for a family the
+    walk builds one accepted r-set at a time from the empty one, is
+    closed under sub-downsets (e.g. ν <= k).
 
     Each passing family D is one node of a tree; its children are D plus
     one r-set after D's colex-last edge.  The colex-last edge of a downset
@@ -203,8 +223,7 @@ def enumerate_stable(
     its last edge whose covers are all in D.  The predicate is asked once
     per candidate, with one ``Hypergraph`` for D, and a child inherits
     only the candidates accepted at D, plus the r-sets whose last missing
-    cover it adds: since passing is closed under sub-downsets, a
-    rejection at D holds for every superset.
+    cover it adds: a rejection at D holds for every superset.
 
     Order: D is yielded before its subtree, then its children's subtrees
     follow in descending candidate index.  Compared at the first r-set in
@@ -215,12 +234,29 @@ def enumerate_stable(
     With ``maximal`` only the ⊆-maximal passing families are yielded.  An
     r-set that could join D has its covers in D; it is either after D's
     last edge, hence a candidate of D or rejected above it, or it was a
-    candidate of an ancestor that went on to a larger child.  So D is
-    maximal iff no candidate of D is accepted and the predicate, asked
-    again with D, rejects every r-set that an ancestor skipped that way
-    while accepting it (newest first, stopping at the first acceptance).
-    An r-set once rejected needs no second question, since the family
-    only grows.
+    candidate of an ancestor, accepted there, that the ancestor skipped
+    by going on to a larger child.  Call those ``skipped``; each lies
+    before D's last edge, and none is ever added below D.
+
+    The walk skips each subtree that holds no maximal family.  Let U(D)
+    be D, D's accepted candidates, and, in colex order, each r-set after
+    D's last edge that has a cover outside D and all its covers in U(D);
+    U(D) is a downset.  Every family F below D lies in U(D).  Take the
+    r-sets x of F outside D in colex order; each is after D's last edge.
+    If x has all its covers in D, it is a candidate of D or was rejected
+    above D, and since it was accepted against a superset of D, it is an
+    accepted candidate of D.  Otherwise its covers are in F, each in D or
+    after D's last edge and so, by induction, in U(D); then x is in U(D).
+    So if the predicate accepts a skipped s against U(D), it accepts s
+    against every F below D, which holds s's covers, and no such F is
+    maximal: D is neither yielded nor expanded.  Otherwise, if D has no
+    accepted candidate, U(D) = D and D is maximal.  So the walk yields
+    the maximal families in the order above and reaches fewer families
+    than the full walk.  Skipped r-sets are asked newest first, stopping
+    at the first acceptance; an r-set once rejected needs no second
+    question, since the family only grows.  A predicate that accepts
+    more against families that do not pass, as the verifier's ν test
+    does, prunes more.
 
     ``budget`` is spent once per passing family the walk reaches, yielded
     or not, before the predicate is asked about its candidates; a
@@ -243,6 +279,27 @@ def enumerate_stable(
 
     included: list[int] = []
     skipped: list[int] = []
+
+    def joins_upper(h: Hypergraph, accepted: list[int]) -> bool:
+        """Whether the predicate accepts a skipped r-set, newest first,
+        against U(h): ``h``, its accepted candidates, and each later r-set
+        with a cover outside ``h`` and all its covers in U(h)."""
+        if predicate is None:
+            return True
+        upper = h  # U(h) = h when no candidate is accepted
+        if accepted:
+            extra = list(accepted)
+            left = missing.copy()
+            for j in extra:
+                for u in up[j]:
+                    left[u] -= 1
+                    if not left[u]:
+                        extra.append(u)
+            extra.sort()
+            edges = h.edges + tuple([elements[j] for j in extra])
+            upper = Hypergraph._make(n, r, edges)
+        return any(predicate(upper, elements[c]) for c in reversed(skipped))
+
     # one frame per node on the path: its accepted candidates and the
     # position of the child being walked
     stack: list[list] = []
@@ -256,12 +313,11 @@ def enumerate_stable(
             accepted = [c for c in candidates if predicate(h, elements[c])]
         if not maximal:
             yield h
+        elif skipped and joins_upper(h, accepted):
+            accepted = []  # no family from h down is maximal
+        elif not accepted:
+            yield h
         else:
-            if not accepted and not any(
-                predicate is None or predicate(h, elements[c])
-                for c in reversed(skipped)
-            ):
-                yield h
             # children go from the last accepted candidate down, and each
             # skips the accepted candidates before it
             skipped.extend(accepted[:-1])

@@ -9,7 +9,8 @@ search; the verifier takes only the maximal families from it, on
 the extremal cell and Proposition 3.2 read those alone
 (``verify_proposition_3_2`` says why for the latter).  Both hand one
 ``core.Budget`` to the walk, to every ν search inside it and to the
-regime-III descent.
+regime-III descent; the extremal cell also re-checks ν of its witness
+from that budget.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .extremal import (
     reaches_regime_threshold,
     theorem_bound,
 )
-from .matchings import find_rainbow_matching, has_matching_at_most
+from .matchings import find_matching, find_rainbow_matching, has_matching_at_most
 from .randgen import random_family_above_edge_threshold
-from .shifting import enumerate_stable, lift, maximal_edges
+from .shifting import enumerate_stable, lifter, maximal_edges
 
 CONFIRMED = "confirmed"
 BOUND_NOT_YET_ACTIVE = "bound-not-yet-active"
@@ -85,7 +86,14 @@ def stable_with_matching_at_most(
     - n >= t: the walk runs on [t].  It asks whether an r-set e may join
       a stable family h with ν(h) <= k, where h ∪ {e} is again stable;
       k+1 disjoint edges of h ∪ {e} must use e, so e may join iff the
-      edges of h that miss e have ν <= k-1.  For n > t the maximal
+      edges of h that miss e have ν <= k-1.  That test asks ν of a
+      subfamily of h, so it is antitone in h, also where ν(h) > k, as
+      the walk's prune needs (``enumerate_stable``).  It keeps, for each
+      r-set e, the last k disjoint edges that blocked e, and answers
+      "no" without a search while all of them are in h; only otherwise
+      does it run a ν search, which stores the matching it finds.  The
+      prune asks the same skipped r-sets at node after node, and the
+      memo answers most of those questions.  For n > t the maximal
       families on [n] are the lifts ext_n(G) of the maximal families G
       on [t] (``shifting.lift``).  ext_n(G) is a downset with trace G on
       [t], so ν <= k, and it is maximal: an r-set that could join it
@@ -99,10 +107,12 @@ def stable_with_matching_at_most(
       and it is yielded alone.
 
     ``budget`` is spent by the walk on [t], one node per family it
-    reaches, maximal or not, and by every ν search it asks, one node per
-    search node; the lift is not charged, since it runs once per family
-    the walk has charged.  So the budget a cell needs does not depend on
-    n >= t.  For n < t the complete r-graph costs one node.  k >= 0.
+    reaches, maximal or not, and by every ν search it runs, one node per
+    search node; an answer from the memo and the lift are not charged,
+    the lift since it runs once per family the walk has charged.  So the
+    budget the walk needs does not depend on n >= t.  For n < t the
+    complete r-graph costs one node.  The r-sets that leave [t] are
+    listed once per call, for every lift (``shifting.lifter``).  k >= 0.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
@@ -112,14 +122,24 @@ def stable_with_matching_at_most(
         budget.spend()
         return iter([Hypergraph.complete(n, r)])
 
+    blocker: dict[int, tuple[int, ...]] = {}
+
     def fits(h: Hypergraph, e: int) -> bool:
+        block = blocker.get(e)
+        if block is not None and h.edge_set.issuperset(block):
+            return False
         rest = tuple([f for f in h.edges if not f & e])
-        return has_matching_at_most(Hypergraph._make(t, r, rest), k - 1, budget)
+        found = find_matching(Hypergraph._make(t, r, rest), k, budget)
+        if found is None:
+            return True
+        blocker[e] = found.edges
+        return False
 
     walk = enumerate_stable(t, r, fits, maximal=True, budget=budget)
     if n == t:
         return walk
-    return (lift(g, n) for g in walk)
+    ext = lifter(t, n, r)
+    return (ext(g) for g in walk)
 
 
 def _descend(
@@ -187,10 +207,14 @@ def verify_extremal_cell(
     When n >= max(r, ak+a-1), the extremal family of the regime is itself
     stable with ν <= k, so the maximum is at least the bound; a smaller
     maximum means the search is broken and is reported as
-    ``invariant-broken``, never as a verdict.
+    ``invariant-broken``, never as a verdict.  So is a witness that
+    fails a fresh ``has_matching_at_most(witness, k)``: the walk's own
+    ν test, memo and prune are not asked.
 
-    ``budget`` covers the walk, its ν searches and the descent, one node
-    per family counted; clique counts run on families already charged.
+    ``budget`` covers the walk, its ν searches, the descent, one node
+    per family counted, and the witness's ν re-check; clique counts run
+    on families already charged.  The walk's share does not depend on
+    n >= r(k+1); the re-check and the descent run on [n].
     """
     start = time.monotonic()
     params = ExtremalParams(n=n, k=k, r=r, s=s)
@@ -217,7 +241,9 @@ def verify_extremal_cell(
 
     a = params.level
     past_threshold = reaches_regime_threshold(params)
-    if n >= max(r, a * k + a - 1) and observed < bound:
+    if witness is not None and not has_matching_at_most(witness, k, budget):
+        status = INVARIANT_BROKEN
+    elif n >= max(r, a * k + a - 1) and observed < bound:
         status = INVARIANT_BROKEN
     elif regime == "III" and past_threshold and second_best > gap_bound:
         status = COUNTEREXAMPLE

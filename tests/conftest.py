@@ -158,6 +158,20 @@ def nu_at_most_from_scratch(k: int):
     return pred
 
 
+def nu_at_most_through(k: int):
+    """The (h, e) walk predicate of ``stable_with_matching_at_most``,
+    without its memo or budget: ν <= k-1 on the edges of h that miss e.
+
+    On a family with ν <= k it agrees with ``nu_at_most_from_scratch``;
+    on one with ν > k it may still accept."""
+
+    def pred(h: Hypergraph, e: int) -> bool:
+        rest = Hypergraph._make(h.n, h.r, tuple([f for f in h.edges if not f & e]))
+        return has_matching_at_most(rest, k - 1)
+
+    return pred
+
+
 def _cell_from_families(n: int, k: int, r: int, s: int, families) -> dict:
     """The verdict on a cell, with cliques counted on every given family.
 

@@ -169,13 +169,14 @@ class TestVerify:
         assert "error:" in err and "after 100 nodes" in err
 
     def test_budget_counts_walk_and_nu_search_nodes(self, capsys):
-        # the figure README gives: 11,720 families and 41,040 ν-search nodes
+        # the figure README gives: 2,761 families, 13,085 ν-search nodes
+        # and one node to re-check the witness
         cell = ["--n", "9", "--k", "2", "--r", "3", "--s", "5"]
-        code, out, _ = run(capsys, "verify", "extremal", *cell, "--budget", "52760")
+        code, out, _ = run(capsys, "verify", "extremal", *cell, "--budget", "15847")
         assert code == 0 and "bound-not-yet-active" in out
-        code, out, err = run(capsys, "verify", "extremal", *cell, "--budget", "52759")
+        code, out, err = run(capsys, "verify", "extremal", *cell, "--budget", "15846")
         assert code == 3 and out == ""
-        assert "after 52759 nodes" in err
+        assert "after 15846 nodes" in err
 
     # (9, 2, 3, 5) walks [9]; (10, 3, 3, 6) is below the span r(k+1) = 12,
     # where no walk runs
@@ -213,10 +214,12 @@ class TestVerify:
 
     def test_broken_invariant_exits_4(self, capsys, monkeypatch, tmp_path):
         from hyperext import verifier
+        from hyperext.matchings import Matching
 
-        # a ν test that rejects every edge leaves only the empty family
+        # a ν search that always finds its matching rejects every edge and
+        # leaves only the empty family
         monkeypatch.setattr(
-            verifier, "has_matching_at_most", lambda h, k, budget: False
+            verifier, "find_matching", lambda h, size, budget: Matching(())
         )
         code, out, _ = run(
             capsys, "verify", "extremal", "--n", "6", "--k", "1", "--r", "2", "--s", "2"

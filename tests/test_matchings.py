@@ -14,6 +14,7 @@ from hyperext.core import (
 )
 from hyperext.extremal import binom, build_extremal_family
 from hyperext.matchings import (
+    find_matching,
     find_rainbow_matching,
     greedy_matching_from_disjoint_tuples,
     greedy_matching_from_high_degree_vertices,
@@ -116,7 +117,8 @@ class TestHasMatchingAtMost:
 
 
 class TestOneSearch:
-    """matching_number and has_matching_at_most share one search."""
+    """find_matching is the one search; matching_number and
+    has_matching_at_most wrap it."""
 
     @settings(max_examples=150, deadline=None)
     @given(hosts(max_edges=12))
@@ -128,6 +130,22 @@ class TestOneSearch:
         assert is_valid_matching(h, wit) and len(wit) == nu
         for k in range(-1, nu + 2):
             assert has_matching_at_most(h, k) == (nu <= k)
+        for size in range(nu + 2):
+            found = find_matching(h, size)
+            if size > nu:
+                assert found is None
+            else:
+                assert is_valid_matching(h, found) and len(found) == size
+        assert find_matching(h, nu) == wit
+
+    def test_find_matching_spends_the_budget_it_is_handed(self):
+        # the star on [6]: one edge in 2 nodes, two edges fail in 7
+        h = build_extremal_family(6, 1, 2, 1)
+        budget = Budget(9)
+        assert len(find_matching(h, 1, budget)) == 1
+        assert find_matching(h, 2, budget) is None and budget.left == 0
+        with pytest.raises(BudgetExceededError):
+            find_matching(h, 2, Budget(6))
 
 
 class TestStableInput:

@@ -8,6 +8,7 @@ from conftest import (
     naive_downset_count,
     naive_stable_families,
     nu_at_most_from_scratch,
+    nu_at_most_through,
 )
 from hyperext.cliques import clique_census, count_cliques
 from hyperext.core import (
@@ -207,27 +208,64 @@ class TestLift:
 STREAM_GRID = [(5, 1), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (6, 4)]
 
 
+def _walk(n, r, pred, maximal):
+    """The stream of ``enumerate_stable`` and the budget nodes it spends."""
+    budget = Budget(10**9)
+    stream = [
+        h.edges for h in enumerate_stable(n, r, pred, maximal=maximal, budget=budget)
+    ]
+    return stream, budget.limit - budget.left
+
+
 def _assert_same_stream_as_oracle(n, r, pred):
-    """Same families in the same order, maximal or not, and the same
-    trip points for budgets of 1, 10 and 100 nodes: ``pred`` spends
-    nothing, so the walk spends one node per family it reaches."""
+    """Same families in the same order, maximal or not.  ``pred`` spends
+    nothing, so the budget counts the families the walk reaches.  The
+    full walk reaches every passing family and trips a budget of b nodes
+    after its first b; the maximal walk skips subtrees without a maximal
+    family, and trips a budget exactly when it is below the nodes the
+    walk spends, having yielded a prefix of its stream."""
     every = [h.edges for h in naive_stable_families(n, r, pred)]
     tops = [h.edges for h in naive_stable_families(n, r, pred, maximal=True)]
-    for maximal, stream in [(False, every), (True, tops)]:
-        got = [h.edges for h in enumerate_stable(n, r, pred, maximal=maximal)]
-        assert got == stream
-        for budget in (1, 10, 100):
-            walk = enumerate_stable(n, r, pred, maximal=maximal, budget=Budget(budget))
-            if len(every) <= budget:
-                assert [h.edges for h in walk] == stream
-                continue
-            got = []
-            with pytest.raises(BudgetExceededError) as info:
-                for h in walk:
-                    got.append(h.edges)
-            assert str(info.value) == f"search budget exceeded after {budget} nodes"
-            reached = set(every[:budget])
-            assert got == [f for f in stream if f in reached]
+    assert _walk(n, r, pred, False) == (every, len(every))
+    for budget in (1, 10, 100):
+        walk = enumerate_stable(n, r, pred, budget=Budget(budget))
+        if len(every) <= budget:
+            assert [h.edges for h in walk] == every
+            continue
+        got = []
+        with pytest.raises(BudgetExceededError) as info:
+            for h in walk:
+                got.append(h.edges)
+        assert str(info.value) == f"search budget exceeded after {budget} nodes"
+        assert got == every[:budget]
+    got, spent = _walk(n, r, pred, True)
+    assert got == tops
+    for budget in sorted({1, 10, 100, spent - 1, spent} - {0}):
+        walk = enumerate_stable(n, r, pred, maximal=True, budget=Budget(budget))
+        if budget >= spent:
+            assert [h.edges for h in walk] == tops
+            continue
+        got = []
+        with pytest.raises(BudgetExceededError) as info:
+            for h in walk:
+                got.append(h.edges)
+        assert str(info.value) == f"search budget exceeded after {budget} nodes"
+        assert got == tops[: len(got)]
+
+
+def _conflict_predicate(n, r, seed):
+    """A family passes iff it holds no pair from a random set of
+    conflicting pairs, which is closed under sub-downsets."""
+    elements = sorted(r_subsets(n, r))
+    rng = random.Random(seed)
+    conflicts = {
+        frozenset(rng.sample(elements, 2)) for _ in range(len(elements) // 2)
+    }
+
+    def pred(h, e):
+        return all(frozenset((e, f)) not in conflicts for f in h.edges)
+
+    return pred
 
 
 class TestEnumerateStable:
@@ -295,23 +333,39 @@ class TestEnumerateStable:
         _assert_same_stream_as_oracle(n, r, pred)
 
     @pytest.mark.parametrize("n, r", STREAM_GRID)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_same_stream_with_the_verifiers_nu_predicate(self, n, r, k):
+        # it accepts against some families with ν > k, where the
+        # from-scratch test rejects, so the walk prunes other subtrees
+        _assert_same_stream_as_oracle(n, r, nu_at_most_through(k))
+
+    @pytest.mark.parametrize("n, r", STREAM_GRID)
     def test_maximal_asks_every_skipped_element(self, n, r):
-        # a family passes iff it holds no conflicting pair, which is closed
-        # under sub-downsets; such a predicate can reject the newest skipped
-        # element while it accepts an older one, which the ν predicates of
-        # this grid never do
-        elements = sorted(r_subsets(n, r))
+        # a conflict predicate can reject the newest skipped element while
+        # it accepts an older one, which the ν predicates of this grid
+        # never do
         for seed in range(4):
-            rng = random.Random(seed)
-            conflicts = {
-                frozenset(rng.sample(elements, 2))
-                for _ in range(len(elements) // 2)
-            }
+            _assert_same_stream_as_oracle(n, r, _conflict_predicate(n, r, seed))
 
-            def pred(h, e):
-                return all(frozenset((e, f)) not in conflicts for f in h.edges)
+    @pytest.mark.parametrize("n, r", STREAM_GRID)
+    def test_maximal_walk_reaches_no_more_than_the_full_walk(self, n, r):
+        preds = [None]
+        preds += [nu_at_most_from_scratch(k) for k in (1, 2)]
+        preds += [nu_at_most_through(k) for k in (1, 2)]
+        preds += [_conflict_predicate(n, r, seed) for seed in range(4)]
+        for pred in preds:
+            assert _walk(n, r, pred, True)[1] <= _walk(n, r, pred, False)[1]
 
-            _assert_same_stream_as_oracle(n, r, pred)
+    def test_maximal_walk_on_the_span_reaches_2761_of_11720_families(self):
+        # ν <= 2 on [9] = [r(k+1)], r = 3.  The verifier's predicate
+        # accepts against the upper bound of a node even where that has
+        # ν > 2, so it prunes more than the from-scratch test, which
+        # rejects there
+        scratch, through = nu_at_most_from_scratch(2), nu_at_most_through(2)
+        tops, spent = _walk(9, 3, through, True)
+        assert (len(tops), spent) == (68, 2761)
+        assert _walk(9, 3, scratch, True) == (tops, 3509)
+        assert _walk(9, 3, scratch, False)[1] == 11720
 
     def test_budget_error_carries_progress(self):
         with pytest.raises(BudgetExceededError, match="after 10 nodes"):

@@ -28,6 +28,7 @@ from hyperext.extremal import (
 )
 from hyperext.core import Budget, BudgetExceededError, ColoredFamily, Hypergraph
 from hyperext.matchings import (
+    Matching,
     find_rainbow_matching,
     has_matching_at_most,
     matching_number,
@@ -263,44 +264,56 @@ class TestMaximalOnlySearch:
 
     @pytest.mark.parametrize("n", [9, 12])
     def test_budget_a_cell_needs_does_not_depend_on_n(self, n):
-        # above the span r(k+1) = 9 the walk still runs on [9]: 11,720
-        # families and 41,040 nodes of the ν searches they ask
-        rep = _assert_budget_needed(verify_extremal_cell, (n, 2, 3, 5), 52760)
+        # above the span r(k+1) = 9 the walk still runs on [9]: 2,761
+        # families and 13,085 nodes of the ν searches they ask; the
+        # witness's re-check on [n] takes one node at n = 9 and n = 12
+        rep = _assert_budget_needed(verify_extremal_cell, (n, 2, 3, 5), 15847)
         assert rep.nodes == 68
 
     @pytest.mark.parametrize(
         "n, k, r, s, need",
         [
-            (14, 5, 2, 3, 10478),
-            (20, 5, 2, 3, 10478),
+            (14, 5, 2, 3, 3576),
+            (20, 5, 2, 3, 3576),
             # regime III: the descent spends one node per family it counts
-            (8, 1, 3, 5, 97),
-            (14, 1, 3, 5, 97),
+            (8, 1, 3, 5, 95),
+            (14, 1, 3, 5, 95),
         ],
     )
     def test_one_budget_covers_every_inner_search(self, n, k, r, s, need):
         _assert_budget_needed(verify_extremal_cell, (n, k, r, s), need)
 
     def test_below_the_span_the_complete_graph_is_the_one_family(self):
-        # r(k+1) = 12 > 10: no 3-graph on [10] has 4 disjoint edges
-        rep = verify_extremal_cell(10, 3, 3, 6, budget=Budget(1))
+        # r(k+1) = 12 > 10: no 3-graph on [10] has 4 disjoint edges; one
+        # node for the family and one to re-check the witness
+        rep = _assert_budget_needed(verify_extremal_cell, (10, 3, 3, 6), 2)
         assert rep.nodes == 1
         assert rep.observed_max == 210 == comb(10, 6)
         assert rep.witness == Hypergraph.complete(10, 3)
-        budget = Budget(1)
-        budget.spend()
-        with pytest.raises(BudgetExceededError):
-            verify_extremal_cell(10, 3, 3, 6, budget=budget)
 
     def test_broken_invariant_is_reported(self, monkeypatch):
+        # a ν search that always finds its matching: the walk's ν test
+        # rejects every edge
         monkeypatch.setattr(
-            verifier, "has_matching_at_most", lambda h, k, budget: False
+            verifier, "find_matching", lambda h, size, budget: Matching(())
         )
         rep = verify_extremal_cell(6, 1, 2, 2)
         assert rep.observed_max == 0 < rep.claimed_bound
         assert rep.status == INVARIANT_BROKEN
         # below the head size rk+r-1 = 5 the same shortfall is no breach
         assert verify_extremal_cell(4, 2, 2, 5).status == BOUND_NOT_YET_ACTIVE
+
+    @pytest.mark.parametrize("cell", [(6, 1, 2, 2), (4, 2, 2, 5)])
+    def test_witness_that_fails_its_nu_recheck_is_reported(self, monkeypatch, cell):
+        # the walk and the counts are sound, so only the re-check of the
+        # witness, on [n] and below the span alike, can see the breach
+        good = verify_extremal_cell(*cell)
+        monkeypatch.setattr(
+            verifier, "has_matching_at_most", lambda h, k, budget: False
+        )
+        rep = verify_extremal_cell(*cell)
+        assert rep.status == INVARIANT_BROKEN != good.status
+        assert (rep.observed_max, rep.witness) == (good.observed_max, good.witness)
 
 
 def _threshold_mp(p: ExtremalParams):
@@ -417,8 +430,9 @@ class TestProposition:
             verify_proposition_3_2(6, 1, 2, 2)  # s below k+r
 
     def test_budget_covers_the_walk_and_its_nu_searches(self):
-        # the same walk and ν searches as the extremal cell (9, 2, 3, 5)
-        _assert_budget_needed(verify_proposition_3_2, (9, 2, 3, 5), 52760)
+        # the same walk and ν searches as the extremal cell (9, 2, 3, 5),
+        # which also re-checks its witness
+        _assert_budget_needed(verify_proposition_3_2, (9, 2, 3, 5), 15846)
 
 
 def _perfbench_tracing():
@@ -439,7 +453,7 @@ def test_benchmark_trace_hooks_resolve_on_the_verifier():
     with tracing.installed(tracer):
         verifier.verify_extremal_cell(7, 2, 2, 3).to_json_line()
         # the wrappers hand the budget on to the walk and the ν searches
-        _assert_budget_needed(verifier.verify_extremal_cell, (7, 2, 2, 3), 65)
+        _assert_budget_needed(verifier.verify_extremal_cell, (7, 2, 2, 3), 62)
     recorded = {span[0] for span in tracer.spans}
     assert {
         "verifier.cell",
