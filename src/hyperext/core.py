@@ -29,11 +29,12 @@ class Budget:
     """A node budget shared by a search and every search inside it.
 
     Each search spends one node per step from the budget it is handed:
-    the stable-family walk per family it reaches, the ν search per search
-    node, whether the walk runs it or the verifier re-checks a witness,
-    and the regime-III descent per family it counts.  ``limit`` (None
-    for none, else at least 1) is the number of nodes all of them may
-    take together; the next one raises ``BudgetExceededError``.
+    the stable-family walk per family it reaches (its ν test runs no
+    search), the ν search per search node, as when the verifier
+    re-checks a witness or ``hyperext nu`` runs, and the regime-III
+    descent per family it counts.  ``limit`` (None for none, else at
+    least 1) is the number of nodes all of them may take together; the
+    next one raises ``BudgetExceededError``.
     """
 
     __slots__ = ("limit", "left")

@@ -12,20 +12,27 @@ node of the ``core.Budget`` handed in, across all rounds and all calls
 that share it; exactness is non-negotiable, so running out raises
 ``BudgetExceededError`` instead of approximating.
 
-Any pivot vertex is exact; the top one is chosen for stable input, which
-is all the verifier's walk asks about.  In a stable family, for i < j,
-S_ij maps the edges through j but not i one-to-one into those through i
-but not j, so the top covered vertex has the least degree and the
-fewest branches.  Both sub-searches stay stable on the vertices they
-keep: dropping the edges that meet a set X leaves a family closed under
-every shift that avoids X.
+Any pivot vertex is exact; the top one is chosen for stable input, such
+as the verifier's witnesses.  In a stable family, for i < j, S_ij maps
+the edges through j but not i one-to-one into those through i but not
+j, so the top covered vertex has the least degree and the fewest
+branches.  Both sub-searches stay stable on the vertices they keep:
+dropping the edges that meet a set X leaves a family closed under every
+shift that avoids X.
+
+The verifier's walk runs no search: whether a stable family on [rk] has
+k disjoint edges is read off ``perfect_matching_patterns(r, k)``, a few
+edge sets one of which it must hold.  The search serves everything else,
+among it the verifier's re-check of each witness and ``hyperext nu``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
-from .core import Budget, ColoredFamily, Hypergraph, neighborhood
+from .core import Budget, ColoredFamily, Hypergraph, iter_bits, neighborhood, r_subsets
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,72 @@ def has_matching_at_most(
 ) -> bool:
     """True iff ν(h) <= k; stops as soon as k+1 disjoint edges are found."""
     return find_matching(h, k + 1, budget) is None
+
+
+@cache
+def perfect_matching_patterns(r: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The patterns P(r, k): a stable r-graph on [rk] has k disjoint
+    edges iff it holds every edge of one of them.
+
+    k disjoint r-sets M of [rk] cover it, and a downset holds M iff it
+    holds down(M), the r-sets ≺ some edge of M.  So the downsets with a
+    perfect matching are those that hold a ⊆-minimal down(M), and a
+    downset holds down(M) iff it holds the ≺-maximal edges of M; those
+    edge sets are the patterns, each in colex order.  There is one for
+    r <= 2 or k <= 1 (the empty one for k = 0), 5 for (3, 2), 21 for
+    (4, 2), 52 for (3, 3) and 84 for (5, 2).
+
+    The matchings are built edge by edge, each edge through the lowest
+    vertex not yet covered.  down(M) is a bit set over the r-sets of
+    [rk], the union of one down({e}) per edge, so whether every edge of
+    M is ≺ some edge of M' is one AND.  Two partial matchings that cover
+    the same vertices have the same completions, and the one with the
+    larger down(·) stays larger after each, so only the ⊆-minimal
+    down(·) are kept per vertex set covered.  Built once per (r, k) and
+    kept for the process.
+    """
+    if r < 1 or k < 0:
+        raise ValueError(f"need r >= 1 and k >= 0, got r={r}, k={k}")
+    full = (1 << r * k) - 1
+    sets = sorted(r_subsets(r * k, r))
+    index = {e: i for i, e in enumerate(sets)}
+    # down[i]: the r-sets ≺ sets[i], as bits over the indices; covers
+    # come first in colex order
+    down: list[int] = []
+    for e in sets:
+        d = 1 << len(down)
+        for v in iter_bits(e):
+            if v and not e >> (v - 1) & 1:  # the cover that lowers v by one
+                d |= down[index[e ^ (3 << (v - 1))]]
+        down.append(d)
+
+    # covered vertex set -> the ⊆-minimal down(·) of the partial
+    # matchings that cover it
+    layer: dict[int, list[int]] = {0: [0]}
+    for _ in range(k):
+        grown: dict[int, set[int]] = {}
+        for covered, downs in layer.items():
+            free = full & ~covered
+            low = free & -free
+            for others in combinations(list(iter_bits(free ^ low)), r - 1):
+                e = low | sum(1 << v for v in others)
+                more = grown.setdefault(covered | e, set())
+                more.update([down[index[e]] | d for d in downs])
+        layer = {}
+        for covered, downs in grown.items():
+            kept: list[int] = []
+            for d in sorted(downs, key=int.bit_count):
+                if not any(d & p == p for p in kept):
+                    kept.append(d)
+            layer[covered] = kept
+
+    patterns = []
+    for d in layer[full]:
+        strictly_below = 0
+        for i in iter_bits(d):
+            strictly_below |= down[i] ^ (1 << i)
+        patterns.append(tuple([sets[i] for i in iter_bits(d & ~strictly_below)]))
+    return tuple(sorted(patterns))
 
 
 def _rainbow_picks(

@@ -7,10 +7,11 @@ one.  The downset walk of ``shifting.enumerate_stable`` is the only
 search; the verifier takes only the maximal families from it, on
 [min(n, r(k+1))] (``stable_with_matching_at_most`` says why), and both
 the extremal cell and Proposition 3.2 read those alone
-(``verify_proposition_3_2`` says why for the latter).  Both hand one
-``core.Budget`` to the walk, to every ν search inside it and to the
+(``verify_proposition_3_2`` says why for the latter).  The walk's
+ν <= k test looks its answer up in a table of perfect-matching patterns
+and runs no search.  Both hand one ``core.Budget`` to the walk and the
 regime-III descent; the extremal cell also re-checks ν of its witness
-from that budget.
+with a search from that budget.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .cliques import count_cliques, enumerate_cliques
-from .core import Budget, ColoredFamily, Hypergraph, serialize
+from .core import Budget, ColoredFamily, Hypergraph, iter_bits, serialize
 from .extremal import (
     ExtremalParams,
     build_extremal_family,
@@ -30,7 +31,11 @@ from .extremal import (
     reaches_regime_threshold,
     theorem_bound,
 )
-from .matchings import find_matching, find_rainbow_matching, has_matching_at_most
+from .matchings import (
+    find_rainbow_matching,
+    has_matching_at_most,
+    perfect_matching_patterns,
+)
 from .randgen import random_family_above_edge_threshold
 from .shifting import enumerate_stable, lifter, maximal_edges
 
@@ -86,32 +91,40 @@ def stable_with_matching_at_most(
     - n >= t: the walk runs on [t].  It asks whether an r-set e may join
       a stable family h with ν(h) <= k, where h ∪ {e} is again stable;
       k+1 disjoint edges of h ∪ {e} must use e, so e may join iff the
-      edges of h that miss e have ν <= k-1.  That test asks ν of a
-      subfamily of h, so it is antitone in h, also where ν(h) > k, as
-      the walk's prune needs (``enumerate_stable``).  It keeps, for each
-      r-set e, the last k disjoint edges that blocked e, and answers
-      "no" without a search while all of them are in h; only otherwise
-      does it run a ν search, which stores the matching it finds.  The
-      prune asks the same skipped r-sets at node after node, and the
-      memo answers most of those questions.  For n > t the maximal
-      families on [n] are the lifts ext_n(G) of the maximal families G
-      on [t] (``shifting.lift``).  ext_n(G) is a downset with trace G on
-      [t], so ν <= k, and it is maximal: an r-set that could join it
-      either lies inside [t], where G is maximal, or has its covers in
-      it and so is in it already.  A maximal F on [n] has a maximal
-      trace G (an r-set that could join the trace could join F), and
-      F ⊆ ext_n(G), so F = ext_n(G).  All r-sets inside [t] come first
-      in colex order, so the stream order is that of the walk on [n].
+      edges of h that miss e have ν <= k-1.  Those edges lie in [t] - e,
+      which has rk vertices, so k disjoint ones cover it.  The increasing
+      map φ of [rk] onto [t] - e keeps ≺, since it sends the i-th
+      smallest vertex of an r-set to the i-th smallest of its image; so
+      the r-sets x of [rk] with φ(x) in h form a downset T.  A downset
+      holds a perfect matching M of [rk] iff it holds down(M), the
+      r-sets ≺ some edge of M, so T has one iff it holds a pattern of
+      ``perfect_matching_patterns(r, k)``, the ≺-maximal edges of a
+      ⊆-minimal down(M).  So e may join iff no pattern, carried onto
+      [t] - e by φ, lies in h; the patterns are carried once per r-set e
+      asked about.  This needs h stable, not ν(h) <= k, and it is
+      antitone in h, since a pattern in a subfamily of h is in h, so the
+      walk's prune may ask it against families with ν > k
+      (``enumerate_stable``).  It answers as a ν search would, so the
+      walk reaches, prunes and yields what it would with one.
+
+      For n > t the maximal families on [n] are the lifts ext_n(G) of
+      the maximal families G on [t] (``shifting.lift``).  ext_n(G) is a
+      downset with trace G on [t], so ν <= k, and it is maximal: an
+      r-set that could join it either lies inside [t], where G is
+      maximal, or has its covers in it and so is in it already.  A
+      maximal F on [n] has a maximal trace G (an r-set that could join
+      the trace could join F), and F ⊆ ext_n(G), so F = ext_n(G).  All
+      r-sets inside [t] come first in colex order, so the stream order
+      is that of the walk on [n].
     - n < t: no r-graph on [n] has t disjoint vertices to hold k+1
       disjoint edges, so the complete r-graph is the one maximal family,
       and it is yielded alone.
 
     ``budget`` is spent by the walk on [t], one node per family it
-    reaches, maximal or not, and by every ν search it runs, one node per
-    search node; an answer from the memo and the lift are not charged,
-    the lift since it runs once per family the walk has charged.  So the
-    budget the walk needs does not depend on n >= t.  For n < t the
-    complete r-graph costs one node.  The r-sets that leave [t] are
+    reaches, maximal or not.  The ν test runs no search, and the lift
+    runs once per family the walk has charged, so neither is charged,
+    and the budget the walk needs does not depend on n >= t.  For n < t
+    the complete r-graph costs one node.  The r-sets that leave [t] are
     listed once per call, for every lift (``shifting.lifter``).  k >= 0.
     """
     if k < 0:
@@ -122,18 +135,20 @@ def stable_with_matching_at_most(
         budget.spend()
         return iter([Hypergraph.complete(n, r)])
 
-    blocker: dict[int, tuple[int, ...]] = {}
+    patterns = perfect_matching_patterns(r, k)
+    span = (1 << t) - 1
+    # blocks[e]: the patterns carried onto [t] - e by the increasing map
+    blocks: dict[int, list[tuple[int, ...]]] = {}
 
     def fits(h: Hypergraph, e: int) -> bool:
-        block = blocker.get(e)
-        if block is not None and h.edge_set.issuperset(block):
-            return False
-        rest = tuple([f for f in h.edges if not f & e])
-        found = find_matching(Hypergraph._make(t, r, rest), k, budget)
-        if found is None:
-            return True
-        blocker[e] = found.edges
-        return False
+        mapped = blocks.get(e)
+        if mapped is None:
+            onto = list(iter_bits(span & ~e))
+            mapped = blocks[e] = [
+                tuple([sum(1 << onto[v] for v in iter_bits(f)) for f in p])
+                for p in patterns
+            ]
+        return not any(map(h.edge_set.issuperset, mapped))
 
     walk = enumerate_stable(t, r, fits, maximal=True, budget=budget)
     if n == t:
@@ -208,13 +223,14 @@ def verify_extremal_cell(
     stable with ν <= k, so the maximum is at least the bound; a smaller
     maximum means the search is broken and is reported as
     ``invariant-broken``, never as a verdict.  So is a witness that
-    fails a fresh ``has_matching_at_most(witness, k)``: the walk's own
-    ν test, memo and prune are not asked.
+    fails a fresh ``has_matching_at_most(witness, k)``, a search: the
+    walk's pattern table and prune are not asked.
 
-    ``budget`` covers the walk, its ν searches, the descent, one node
-    per family counted, and the witness's ν re-check; clique counts run
-    on families already charged.  The walk's share does not depend on
-    n >= r(k+1); the re-check and the descent run on [n].
+    ``budget`` covers the walk, one node per family it reaches, the
+    descent, one node per family counted, and the witness's ν re-check,
+    one per search node; clique counts run on families already charged.
+    The walk's share does not depend on n >= r(k+1); the re-check and
+    the descent run on [n].
     """
     start = time.monotonic()
     params = ExtremalParams(n=n, k=k, r=r, s=s)
@@ -328,7 +344,7 @@ def verify_proposition_3_2(
     ``observed_max`` counts the violating edges over all M_s, ``witness``
     is the first M_s with one (a family that meets the precondition),
     and ``nodes`` counts the maximal families.  ``budget`` covers the
-    walk and its ν searches, as in ``verify_extremal_cell``.
+    walk, as in ``verify_extremal_cell``.
     """
     start = time.monotonic()
     if not k + r <= s <= r * k + r - 1:

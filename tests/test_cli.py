@@ -169,14 +169,14 @@ class TestVerify:
         assert "error:" in err and "after 100 nodes" in err
 
     def test_budget_counts_walk_and_nu_search_nodes(self, capsys):
-        # the figure README gives: 2,761 families, 13,085 ν-search nodes
-        # and one node to re-check the witness
+        # the figure README gives: 2,761 families, and one ν-search node
+        # to re-check the witness
         cell = ["--n", "9", "--k", "2", "--r", "3", "--s", "5"]
-        code, out, _ = run(capsys, "verify", "extremal", *cell, "--budget", "15847")
+        code, out, _ = run(capsys, "verify", "extremal", *cell, "--budget", "2762")
         assert code == 0 and "bound-not-yet-active" in out
-        code, out, err = run(capsys, "verify", "extremal", *cell, "--budget", "15846")
+        code, out, err = run(capsys, "verify", "extremal", *cell, "--budget", "2761")
         assert code == 3 and out == ""
-        assert "after 15846 nodes" in err
+        assert "after 2761 nodes" in err
 
     # (9, 2, 3, 5) walks [9]; (10, 3, 3, 6) is below the span r(k+1) = 12,
     # where no walk runs
@@ -214,13 +214,10 @@ class TestVerify:
 
     def test_broken_invariant_exits_4(self, capsys, monkeypatch, tmp_path):
         from hyperext import verifier
-        from hyperext.matchings import Matching
 
-        # a ν search that always finds its matching rejects every edge and
-        # leaves only the empty family
-        monkeypatch.setattr(
-            verifier, "find_matching", lambda h, size, budget: Matching(())
-        )
+        # a pattern table whose one pattern is empty blocks every r-set
+        # and leaves only the empty family
+        monkeypatch.setattr(verifier, "perfect_matching_patterns", lambda r, k: ((),))
         code, out, _ = run(
             capsys, "verify", "extremal", "--n", "6", "--k", "1", "--r", "2", "--s", "2"
         )

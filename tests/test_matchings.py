@@ -1,4 +1,8 @@
+import gc
 import random
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +15,7 @@ from hyperext.core import (
     Hypergraph,
     degree,
     mask_from_labels,
+    r_subsets,
 )
 from hyperext.extremal import binom, build_extremal_family
 from hyperext.matchings import (
@@ -22,9 +27,10 @@ from hyperext.matchings import (
     is_valid_matching,
     is_valid_rainbow_matching,
     matching_number,
+    perfect_matching_patterns,
 )
 from hyperext.randgen import random_hypergraph
-from hyperext.shifting import enumerate_stable, shift
+from hyperext.shifting import enumerate_stable, precedes, shift
 
 
 class TestMatchingNumber:
@@ -164,6 +170,63 @@ class TestStableInput:
                 assert has_matching_at_most(h, j) == (nu <= j), (h, j)
             checked += 1
         assert checked == {(8, 2): 128, (7, 3): 352}[n, r]
+
+
+def _downclosure(edges, universe) -> frozenset[int]:
+    return frozenset(x for x in universe if any(precedes(x, e) for e in edges))
+
+
+def _maximal(family) -> frozenset[int]:
+    return frozenset(
+        x for x in family if not any(y != x and precedes(x, y) for y in family)
+    )
+
+
+class TestPerfectMatchingPatterns:
+    """Each pattern against every perfect matching of [rk], by the
+    definition of ≺ alone."""
+
+    @pytest.mark.parametrize(
+        "r, k, count",
+        [
+            (1, 0, 1), (1, 1, 1), (1, 4, 1), (2, 0, 1), (2, 1, 1), (2, 3, 1),
+            (2, 4, 1), (3, 0, 1), (3, 1, 1), (5, 1, 1), (3, 2, 5), (4, 2, 21),
+            (3, 3, 52), (5, 2, 84),
+        ],
+    )
+    def test_patterns_are_the_least_perfect_matching_downsets(self, r, k, count):
+        universe = sorted(r_subsets(r * k, r))
+        closures = {
+            _downclosure(m, universe)
+            for m in combinations(universe, k)
+            if reduce(or_, m, 0) == (1 << r * k) - 1
+        }
+        least = {d for d in closures if not any(c < d for c in closures)}
+        patterns = perfect_matching_patterns(r, k)
+        assert len(patterns) == count == len(least)
+        assert len(set(patterns)) == count
+        for p in patterns:
+            assert list(p) == sorted(p) and len(set(p)) == len(p)
+            # the ≺-maximal edges of its own downclosure
+            assert frozenset(p) == _maximal(_downclosure(p, universe))
+        # which is a perfect matching's; none holds another's, and every
+        # perfect matching's downclosure holds one
+        assert {_downclosure(p, universe) for p in patterns} == least
+
+    def test_bad_arguments_rejected(self):
+        for r, k in [(0, 1), (2, -1)]:
+            with pytest.raises(ValueError):
+                perfect_matching_patterns(r, k)
+
+    def test_build_leaves_no_reference_cycle(self):
+        perfect_matching_patterns.cache_clear()
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(perfect_matching_patterns(3, 3)) == 52
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestShiftMonotonicity:

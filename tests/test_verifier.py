@@ -26,9 +26,14 @@ from hyperext.extremal import (
     closed_form_clique_count,
     reaches_regime_threshold,
 )
-from hyperext.core import Budget, BudgetExceededError, ColoredFamily, Hypergraph
+from hyperext.core import (
+    Budget,
+    BudgetExceededError,
+    ColoredFamily,
+    Hypergraph,
+    r_subsets,
+)
 from hyperext.matchings import (
-    Matching,
     find_rainbow_matching,
     has_matching_at_most,
     matching_number,
@@ -36,6 +41,7 @@ from hyperext.matchings import (
 from hyperext.shifting import (
     enumerate_stable,
     is_stable,
+    precedes,
     stable_closure_check,
 )
 from hyperext.verifier import (
@@ -123,6 +129,50 @@ class TestStableWithMatching:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             stable_with_matching_at_most(5, 2, -1)
+
+    @pytest.mark.parametrize(
+        "r, k, questions",
+        [
+            (1, 1, 2), (1, 2, 3), (1, 3, 4), (2, 0, 1), (2, 1, 8),
+            (2, 2, 48), (2, 3, 256), (3, 0, 1), (3, 1, 120), (4, 1, 36476),
+            (3, 2, 91404),
+        ],
+    )
+    def test_pattern_lookup_equals_the_nu_search(self, monkeypatch, r, k, questions):
+        # the walk's test on [t], t = r(k+1), against a ν search on the
+        # edges that miss e: every stable family, passing or not, with
+        # every r-set outside it whose covers it holds
+        asks = []
+
+        def walk(n, size, predicate, **kwargs):
+            asks.append(predicate)
+            return iter(())
+
+        monkeypatch.setattr(verifier, "enumerate_stable", walk)
+        t = r * (k + 1)
+        list(stable_with_matching_at_most(t, r, k))
+        (fits,) = asks
+        universe = sorted(r_subsets(t, r))
+        below = {
+            e: [f for f in universe if f != e and precedes(f, e)] for e in universe
+        }
+        covers = {
+            e: [f for f in fs if not any(f != g and precedes(f, g) for g in fs)]
+            for e, fs in below.items()
+        }
+        asked = 0
+        for h in naive_stable_families(t, r):
+            for e in universe:
+                if e not in h.edge_set and all(f in h.edge_set for f in covers[e]):
+                    rest = tuple([f for f in h.edges if not f & e])
+                    want = has_matching_at_most(Hypergraph._make(t, r, rest), k - 1)
+                    assert fits(h, e) == want, (h, e)
+                    asked += 1
+        assert asked == questions
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (4, 1), (3, 3), (7, 3), (8, 4)])
+    def test_k_zero_leaves_only_the_empty_family(self, n, r):
+        assert list(stable_with_matching_at_most(n, r, 0)) == [Hypergraph(n, r, ())]
 
     @pytest.mark.parametrize("n", [6, 8, 4])
     def test_spent_budget_stops_the_stream(self, n):
@@ -265,19 +315,21 @@ class TestMaximalOnlySearch:
     @pytest.mark.parametrize("n", [9, 12])
     def test_budget_a_cell_needs_does_not_depend_on_n(self, n):
         # above the span r(k+1) = 9 the walk still runs on [9]: 2,761
-        # families and 13,085 nodes of the ν searches they ask; the
-        # witness's re-check on [n] takes one node at n = 9 and n = 12
-        rep = _assert_budget_needed(verify_extremal_cell, (n, 2, 3, 5), 15847)
+        # families, and its ν test runs no search; the witness's re-check
+        # on [n] takes one node at n = 9 and n = 12
+        rep = _assert_budget_needed(verify_extremal_cell, (n, 2, 3, 5), 2762)
         assert rep.nodes == 68
 
     @pytest.mark.parametrize(
         "n, k, r, s, need",
         [
-            (14, 5, 2, 3, 3576),
-            (20, 5, 2, 3, 3576),
-            # regime III: the descent spends one node per family it counts
-            (8, 1, 3, 5, 95),
-            (14, 1, 3, 5, 95),
+            # 344 families on [12] and one re-check node
+            (14, 5, 2, 3, 345),
+            (20, 5, 2, 3, 345),
+            # regime III: 33 families on [6], one the descent counts and
+            # one re-check node
+            (8, 1, 3, 5, 35),
+            (14, 1, 3, 5, 35),
         ],
     )
     def test_one_budget_covers_every_inner_search(self, n, k, r, s, need):
@@ -292,11 +344,9 @@ class TestMaximalOnlySearch:
         assert rep.witness == Hypergraph.complete(10, 3)
 
     def test_broken_invariant_is_reported(self, monkeypatch):
-        # a ν search that always finds its matching: the walk's ν test
+        # a pattern table whose one pattern is empty: the walk's ν test
         # rejects every edge
-        monkeypatch.setattr(
-            verifier, "find_matching", lambda h, size, budget: Matching(())
-        )
+        monkeypatch.setattr(verifier, "perfect_matching_patterns", lambda r, k: ((),))
         rep = verify_extremal_cell(6, 1, 2, 2)
         assert rep.observed_max == 0 < rep.claimed_bound
         assert rep.status == INVARIANT_BROKEN
@@ -430,9 +480,9 @@ class TestProposition:
             verify_proposition_3_2(6, 1, 2, 2)  # s below k+r
 
     def test_budget_covers_the_walk_and_its_nu_searches(self):
-        # the same walk and ν searches as the extremal cell (9, 2, 3, 5),
-        # which also re-checks its witness
-        _assert_budget_needed(verify_proposition_3_2, (9, 2, 3, 5), 15846)
+        # the same walk as the extremal cell (9, 2, 3, 5), 2,761 families,
+        # without the witness's re-check
+        _assert_budget_needed(verify_proposition_3_2, (9, 2, 3, 5), 2761)
 
 
 def _perfbench_tracing():
@@ -452,8 +502,9 @@ def test_benchmark_trace_hooks_resolve_on_the_verifier():
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         verifier.verify_extremal_cell(7, 2, 2, 3).to_json_line()
-        # the wrappers hand the budget on to the walk and the ν searches
-        _assert_budget_needed(verifier.verify_extremal_cell, (7, 2, 2, 3), 62)
+        # the wrappers hand the budget on to the walk and the re-check:
+        # 19 families and one ν-search node
+        _assert_budget_needed(verifier.verify_extremal_cell, (7, 2, 2, 3), 20)
     recorded = {span[0] for span in tracer.spans}
     assert {
         "verifier.cell",
