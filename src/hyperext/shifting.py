@@ -7,21 +7,12 @@ decreases clique counts, and never increases the matching number.  A
 stable r-graph is fixed by every S_ij with i < j, equivalently a downset
 of the sorted-componentwise precedence order ≺ on r-sets.
 
-``enumerate_stable`` walks those downsets that pass a predicate closed
-under sub-downsets.  It takes one step per passing family: each family
-holds its candidate list, the r-sets after its colex-last edge whose
-covers (immediate ≺-predecessors) are all in it, kept up to date by
-counting each r-set's missing covers.  A candidate the predicate rejects
-is never asked about again below that family.  The families come in the
-order of the plain per-element walk that excludes each r-set before it
-includes it.  The ``maximal`` filter keeps the same families, and it
-skips every subtree that holds none: an r-set passed over above a node
-that the predicate accepts against U, an upper bound on every family
-below the node, can join each of them.  This needs the predicate to be
-antitone in the family; ``enumerate_stable`` states the contract and
-says why.  The walk spends one node of its ``core.Budget`` per family
-it reaches, yielded or not, and the predicate may spend from the same
-budget.
+``enumerate_stable`` walks the ⊆-maximal downsets that a blocker rule
+builds from the empty family, ``blockers(e)`` listing the edge sets that
+keep the r-set e out.  A family is a bit set over the colex indices of
+the r-sets.  The walk takes one step per family it reaches, skips every
+subtree that holds no maximal family, and spends one node of its
+``core.Budget`` per step; its docstring gives the order and the proof.
 
 ``lift(g, n)`` extends a stable family g on [t] to the largest stable
 family on [n] whose trace on [t] is g, in one colex pass over the
@@ -35,9 +26,9 @@ families on [n] exactly the lifts of those on [t]; the verifier walks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .core import Budget, Hypergraph, labels_from_mask, r_subsets
+from .core import Budget, Hypergraph, iter_bits, labels_from_mask, r_subsets
 
 
 @dataclass(frozen=True)
@@ -161,6 +152,8 @@ def lifter(t: int, n: int, r: int) -> Callable[[Hypergraph], Hypergraph]:
     """ext_n on the stable r-graphs on [t], t <= n: ``lifter(t, n, r)(g)``
     is ``lift(g, n)``.  The r-sets that leave [t] and their covers are
     listed once, for every family lifted."""
+    if n < t:
+        raise ValueError(f"need t <= n, got t={t}, n={n}")
     leaving = [(e, _covers(e)) for e in sorted(r_subsets(n, r)) if e >> t]
 
     def ext(g: Hypergraph) -> Hypergraph:
@@ -178,7 +171,8 @@ def lifter(t: int, n: int, r: int) -> Callable[[Hypergraph], Hypergraph]:
 def lift(g: Hypergraph, n: int) -> Hypergraph:
     """ext_n(g): the largest downset on [n] whose trace on [g.n] is ``g``.
 
-    ``g`` is stable on [t], t = g.n <= n.  An r-set inside [t] is in
+    ``g`` is stable on [t], t = g.n <= n, else ``ValueError``: a family
+    on fewer vertices cannot hold g's edges.  An r-set inside [t] is in
     ext_n(g) iff it is in ``g``; any other r-set is in it iff all its
     covers are.  Covers precede an r-set in colex order, and every r-set
     inside [t] precedes every one that leaves [t], so one ascending pass
@@ -201,137 +195,146 @@ def maximal_edges(h: Hypergraph) -> list[int]:
 def enumerate_stable(
     n: int,
     r: int,
-    predicate: Callable[[Hypergraph, int], bool] | None = None,
+    blockers: Callable[[int], Iterable[tuple[int, ...]]],
     *,
-    maximal: bool = False,
     budget: Budget | None = None,
 ) -> Iterator[Hypergraph]:
-    """Yield the stable r-graphs on [n], i.e. the downsets of ≺, that pass.
+    """Yield the ⊆-maximal stable r-graphs on [n], i.e. downsets of ≺,
+    among those the blocker rule builds from the empty family.
 
-    ``predicate(h, e)`` says whether the r-set ``e``, all of whose covers
-    are edges of the stable family ``h``, may join ``h``.  It must be
-    antitone in ``h`` for every stable ``h``, passing or not: if
-    h' ⊆ h are stable, e's covers lie in h' and ``predicate(h, e)``
-    holds, so does ``predicate(h', e)``.  Then passing, for a family the
-    walk builds one accepted r-set at a time from the empty one, is
-    closed under sub-downsets (e.g. ν <= k).
+    ``blockers(e)`` lists edge sets, each a tuple of distinct r-set
+    masks of [n].  The r-set ``e``, all of whose covers are in a stable
+    family, may join it iff the family holds no whole set on that list.
+    A set held by a subfamily is held by the family, so what may join a
+    family may join each subfamily that holds its covers, and the
+    families the rule builds one r-set at a time are closed under
+    sub-downsets (e.g. ν <= k).  ``blockers`` is asked at most once per
+    r-set per walk.  Each set on its list becomes a bit set p over the
+    colex indices of the r-sets, and a family D, as such a bit set,
+    holds it iff ``p & D == p``.
 
-    Each passing family D is one node of a tree; its children are D plus
-    one r-set after D's colex-last edge.  The colex-last edge of a downset
-    is ≺-maximal in it, so every passing family has exactly one parent,
-    and the walk reaches each once.  D's candidates are the r-sets after
-    its last edge whose covers are all in D.  The predicate is asked once
-    per candidate, with one ``Hypergraph`` for D, and a child inherits
-    only the candidates accepted at D, plus the r-sets whose last missing
-    cover it adds: a rejection at D holds for every superset.
+    Each family D the rule builds is one node of a tree; its children
+    are D plus one r-set after D's colex-last edge.  The colex-last edge
+    of a downset is ≺-maximal in it, so every such family has exactly
+    one parent, and the walk reaches each at most once.  D's candidates
+    are the r-sets after its last edge whose covers are all in D.  Each
+    candidate is asked about once at D, and a child inherits only the
+    candidates accepted at D, plus the r-sets whose last missing cover
+    it adds: a rejection at D holds for every superset.
 
-    Order: D is yielded before its subtree, then its children's subtrees
+    Order: D comes before its subtree, then its children's subtrees
     follow in descending candidate index.  Compared at the first r-set in
     colex order on which two families differ, the one without it comes
     first, which is the order of a per-element walk that tries excluding
     each r-set before including it.
 
-    With ``maximal`` only the ⊆-maximal passing families are yielded.  An
-    r-set that could join D has its covers in D; it is either after D's
-    last edge, hence a candidate of D or rejected above it, or it was a
-    candidate of an ancestor, accepted there, that the ancestor skipped
-    by going on to a larger child.  Call those ``skipped``; each lies
-    before D's last edge, and none is ever added below D.
+    Only the ⊆-maximal families are yielded.  An r-set that could join D
+    has its covers in D; it is either after D's last edge, hence a
+    candidate of D or rejected above it, or it was a candidate of an
+    ancestor, accepted there, that the ancestor skipped by going on to a
+    larger child.  Call those ``skipped``; each lies before D's last
+    edge, and none is ever added below D.
 
-    The walk skips each subtree that holds no maximal family.  Let U(D)
-    be D, D's accepted candidates, and, in colex order, each r-set after
-    D's last edge that has a cover outside D and all its covers in U(D);
-    U(D) is a downset.  Every family F below D lies in U(D).  Take the
-    r-sets x of F outside D in colex order; each is after D's last edge.
-    If x has all its covers in D, it is a candidate of D or was rejected
-    above D, and since it was accepted against a superset of D, it is an
-    accepted candidate of D.  Otherwise its covers are in F, each in D or
-    after D's last edge and so, by induction, in U(D); then x is in U(D).
-    So if the predicate accepts a skipped s against U(D), it accepts s
-    against every F below D, which holds s's covers, and no such F is
+    The walk skips each subtree that holds no maximal family.  Let S(D)
+    be the r-sets x with y ≺ x for some y that is skipped or was
+    rejected on the way to D, at D included, and U(D) the other r-sets,
+    a downset.  No family below D holds a skipped or a rejected r-set,
+    and each is a downset, so each lies in U(D).  So if a skipped s may join U(D), it
+    may join every F below D, which holds s's covers, and no such F is
     maximal: D is neither yielded nor expanded.  Otherwise, if D has no
-    accepted candidate, U(D) = D and D is maximal.  So the walk yields
-    the maximal families in the order above and reaches fewer families
-    than the full walk.  Skipped r-sets are asked newest first, stopping
-    at the first acceptance; an r-set once rejected needs no second
-    question, since the family only grows.  A predicate that accepts
-    more against families that do not pass, as the verifier's ν test
-    does, prunes more.
+    accepted candidate, U(D) = D and D is maximal.  Take the r-sets x
+    outside D in colex order.  If a cover of x is outside D, it is in
+    S(D), and so is x.  Else let A be the deepest node on the way to D
+    whose last edge is before x; x's covers are in A, so x is a
+    candidate of A or was rejected above it.  If A = D, it was
+    rejected; otherwise A went on to a child after x, so x was rejected
+    or skipped at A.  So the walk yields the maximal families in the
+    order above.  It keeps S(D) as a bit set along the path: a node adds
+    the r-sets above each candidate it rejects, and a child those above
+    each candidate it skips.  Skipped r-sets are asked newest first,
+    stopping at the first acceptance; an r-set once rejected needs no
+    second question, since the family only grows.  Two blocker rules
+    that build the same families may answer differently against U(D),
+    which need not be one of them; the one that lets more join there
+    prunes more.
 
-    ``budget`` is spent once per passing family the walk reaches, yielded
-    or not, before the predicate is asked about its candidates; a
-    predicate that spends from the same budget is charged on top.
+    ``budget`` is spent once per family the walk reaches, yielded or
+    not, before its candidates are asked about.
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     budget = budget or Budget()
     elements = sorted(r_subsets(n, r))
     position = {e: i for i, e in enumerate(elements)}
-    # up[i]: the elements that element i covers, ascending;
-    # missing[i]: the covers of element i not in the current family
+    # below[i]: the covers of element i, as bits over the indices;
+    # up[i]: the elements that element i covers, ascending
+    below: list[int] = []
     up: list[list[int]] = [[] for _ in elements]
-    missing: list[int] = []
     for i, e in enumerate(elements):
-        below = _covers(e)
-        missing.append(len(below))
-        for c in below:
+        bits = 0
+        for c in _covers(e):
+            bits |= 1 << position[c]
             up[position[c]].append(i)
+        below.append(bits)
+    # above[i]: element i and every element it precedes, as bits
+    above = [0] * len(elements)
+    for i in reversed(range(len(elements))):
+        bits = 1 << i
+        for u in up[i]:
+            bits |= above[u]
+        above[i] = bits
+    # blocked[i]: the blocker sets of element i as bits, once asked
+    blocked: list[list[int] | None] = [None] * len(elements)
 
-    included: list[int] = []
+    def joins(family: int, i: int) -> bool:
+        """Whether element i may join ``family``, both as index bits."""
+        sets = blocked[i]
+        if sets is None:
+            sets = blocked[i] = [
+                sum(1 << position[f] for f in p) for p in blockers(elements[i])
+            ]
+        for p in sets:
+            if p & family == p:
+                return False
+        return True
+
+    family = 0
+    shadow = 0  # S(family), the complement of U(family)
     skipped: list[int] = []
-
-    def joins_upper(h: Hypergraph, accepted: list[int]) -> bool:
-        """Whether the predicate accepts a skipped r-set, newest first,
-        against U(h): ``h``, its accepted candidates, and each later r-set
-        with a cover outside ``h`` and all its covers in U(h)."""
-        if predicate is None:
-            return True
-        upper = h  # U(h) = h when no candidate is accepted
-        if accepted:
-            extra = list(accepted)
-            left = missing.copy()
-            for j in extra:
-                for u in up[j]:
-                    left[u] -= 1
-                    if not left[u]:
-                        extra.append(u)
-            extra.sort()
-            edges = h.edges + tuple([elements[j] for j in extra])
-            upper = Hypergraph._make(n, r, edges)
-        return any(predicate(upper, elements[c]) for c in reversed(skipped))
-
-    # one frame per node on the path: its accepted candidates and the
-    # position of the child being walked
+    # one frame per node on the path: its accepted candidates, the
+    # position of the child being walked and each child's shadow
     stack: list[list] = []
-    candidates = [i for i, c in enumerate(missing) if not c]
+    candidates = [i for i, bits in enumerate(below) if not bits]
     while True:
         budget.spend()
-        h = Hypergraph._make(n, r, tuple(included))
-        if predicate is None:
-            accepted = candidates
-        else:
-            accepted = [c for c in candidates if predicate(h, elements[c])]
-        if not maximal:
-            yield h
-        elif skipped and joins_upper(h, accepted):
-            accepted = []  # no family from h down is maximal
+        accepted = []
+        for c in candidates:
+            if joins(family, c):
+                accepted.append(c)
+            else:
+                shadow |= above[c]
+        # the bits of ~shadow, a negative int, are U(family)
+        if skipped and any(joins(~shadow, s) for s in reversed(skipped)):
+            accepted = []  # no family from here down is maximal
         elif not accepted:
-            yield h
-        else:
-            # children go from the last accepted candidate down, and each
-            # skips the accepted candidates before it
-            skipped.extend(accepted[:-1])
-        stack.append([accepted, len(accepted)])
+            yield Hypergraph._make(
+                n, r, tuple([elements[i] for i in iter_bits(family)])
+            )
+        # children go from the last accepted candidate down, and each
+        # skips the accepted candidates before it
+        skipped.extend(accepted[:-1])
+        shadows = [shadow]
+        for s in accepted[:-1]:
+            shadows.append(shadows[-1] | above[s])
+        stack.append([accepted, len(accepted), shadows])
         # step to the next child of the deepest node that has one left,
         # undoing each child whose subtree is done
         while stack:
             frame = stack[-1]
-            accepted, pos = frame
+            accepted, pos, shadows = frame
             if pos < len(accepted):
-                included.pop()
-                for u in up[accepted[pos]]:
-                    missing[u] += 1
-                if maximal and pos:
+                family ^= 1 << accepted[pos]
+                if pos:
                     skipped.pop()  # the next child, accepted[pos - 1]
             if not pos:
                 stack.pop()
@@ -339,12 +342,9 @@ def enumerate_stable(
             pos -= 1
             frame[1] = pos
             j = accepted[pos]
-            included.append(elements[j])
-            fresh = []
-            for u in up[j]:
-                missing[u] -= 1
-                if not missing[u]:
-                    fresh.append(u)
+            family |= 1 << j
+            shadow = shadows[pos]
+            fresh = [u for u in up[j] if below[u] & family == below[u]]
             candidates = sorted(accepted[pos + 1:] + fresh)
             break
         else:

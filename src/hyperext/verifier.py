@@ -7,11 +7,12 @@ one.  The downset walk of ``shifting.enumerate_stable`` is the only
 search; the verifier takes only the maximal families from it, on
 [min(n, r(k+1))] (``stable_with_matching_at_most`` says why), and both
 the extremal cell and Proposition 3.2 read those alone
-(``verify_proposition_3_2`` says why for the latter).  The walk's
-ν <= k test looks its answer up in a table of perfect-matching patterns
-and runs no search.  Both hand one ``core.Budget`` to the walk and the
-regime-III descent; the extremal cell also re-checks ν of its witness
-with a search from that budget.
+(``verify_proposition_3_2`` says why for the latter).  The verifier
+hands the walk its ν <= k test as blocker sets, perfect-matching
+patterns carried onto the span, so the walk runs no ν search.  Both
+hand one ``core.Budget`` to the walk and the regime-III descent; the
+extremal cell also re-checks ν of its witness with a search from that
+budget.
 """
 
 from __future__ import annotations
@@ -100,12 +101,12 @@ def stable_with_matching_at_most(
       r-sets ≺ some edge of M, so T has one iff it holds a pattern of
       ``perfect_matching_patterns(r, k)``, the ≺-maximal edges of a
       ⊆-minimal down(M).  So e may join iff no pattern, carried onto
-      [t] - e by φ, lies in h; the patterns are carried once per r-set e
-      asked about.  This needs h stable, not ν(h) <= k, and it is
-      antitone in h, since a pattern in a subfamily of h is in h, so the
-      walk's prune may ask it against families with ν > k
-      (``enumerate_stable``).  It answers as a ν search would, so the
-      walk reaches, prunes and yields what it would with one.
+      [t] - e by φ, lies in h: the carried patterns are e's blocker sets
+      (``enumerate_stable``), and the walk asks for them once per r-set.
+      This needs h stable, not ν(h) <= k, so it holds also against the
+      downsets with ν > k that the walk's prune asks about.  It answers
+      as a ν search would, so the walk reaches, prunes and yields what it
+      would with one.
 
       For n > t the maximal families on [n] are the lifts ext_n(G) of
       the maximal families G on [t] (``shifting.lift``).  ext_n(G) is a
@@ -137,20 +138,16 @@ def stable_with_matching_at_most(
 
     patterns = perfect_matching_patterns(r, k)
     span = (1 << t) - 1
-    # blocks[e]: the patterns carried onto [t] - e by the increasing map
-    blocks: dict[int, list[tuple[int, ...]]] = {}
 
-    def fits(h: Hypergraph, e: int) -> bool:
-        mapped = blocks.get(e)
-        if mapped is None:
-            onto = list(iter_bits(span & ~e))
-            mapped = blocks[e] = [
-                tuple([sum(1 << onto[v] for v in iter_bits(f)) for f in p])
-                for p in patterns
-            ]
-        return not any(map(h.edge_set.issuperset, mapped))
+    def carried(e: int) -> list[tuple[int, ...]]:
+        """The patterns carried onto [t] - e by the increasing map."""
+        onto = list(iter_bits(span & ~e))
+        return [
+            tuple([sum(1 << onto[v] for v in iter_bits(f)) for f in p])
+            for p in patterns
+        ]
 
-    walk = enumerate_stable(t, r, fits, maximal=True, budget=budget)
+    walk = enumerate_stable(t, r, carried, budget=budget)
     if n == t:
         return walk
     ext = lifter(t, n, r)

@@ -123,8 +123,9 @@ def naive_stable_families(n: int, r: int, predicate=None, maximal=False):
     addable: list[int] = []
 
     def accepts(e: int) -> bool:
-        h = Hypergraph._make(n, r, tuple(included))
-        return predicate is None or predicate(h, e)
+        return predicate is None or predicate(
+            Hypergraph._make(n, r, tuple(included)), e
+        )
 
     def walk(idx: int):
         if idx == len(elements):
@@ -158,18 +159,45 @@ def nu_at_most_from_scratch(k: int):
     return pred
 
 
-def nu_at_most_through(k: int):
-    """The (h, e) walk predicate of ``stable_with_matching_at_most``,
-    without its memo or budget: ν <= k-1 on the edges of h that miss e.
-
-    On a family with ν <= k it agrees with ``nu_at_most_from_scratch``;
-    on one with ν > k it may still accept."""
+def avoiding(blockers):
+    """The (h, e) predicate of the blocker rule of
+    ``shifting.enumerate_stable``: e may join h iff h holds no whole set
+    that ``blockers(e)`` lists.  Each r-set's list is asked for once."""
+    lists: dict[int, list] = {}
 
     def pred(h: Hypergraph, e: int) -> bool:
-        rest = Hypergraph._make(h.n, h.r, tuple([f for f in h.edges if not f & e]))
-        return has_matching_at_most(rest, k - 1)
+        if e not in lists:
+            lists[e] = list(blockers(e))
+        return not any(h.edge_set.issuperset(p) for p in lists[e])
 
     return pred
+
+
+def disjoint_edge_sets(n: int, r: int, size: int) -> list[tuple[int, ...]]:
+    """Every set of ``size`` pairwise disjoint r-sets of [n], by trying
+    every ``size`` r-sets; the empty set for size 0."""
+    universe = sorted(r_subsets(n, r))
+    return [m for m in combinations(universe, size) if _pairwise_disjoint(m)]
+
+
+def nu_blockers_through(n: int, r: int, k: int):
+    """Blocker sets for ν <= k-1 on the edges that miss e, the walk's ν
+    test in ``stable_with_matching_at_most``: every k disjoint r-sets of
+    [n] that miss e.
+
+    On a family with ν <= k it agrees with
+    ``nu_blockers_from_scratch``; on one with ν > k it may still let e
+    join."""
+    every = disjoint_edge_sets(n, r, k)
+    return lambda e: [m for m in every if not any(f & e for f in m)]
+
+
+def nu_blockers_from_scratch(n: int, r: int, k: int):
+    """Blocker sets for ν(h ∪ {e}) <= k on the whole family: every k+1
+    disjoint r-sets of [n], and every k disjoint r-sets that miss e."""
+    whole = disjoint_edge_sets(n, r, k + 1)
+    through = nu_blockers_through(n, r, k)
+    return lambda e: whole + through(e)
 
 
 def _cell_from_families(n: int, k: int, r: int, s: int, families) -> dict:

@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 
 from conftest import (
+    avoiding,
     hosts,
     naive_downset_count,
     naive_stable_families,
     nu_at_most_from_scratch,
-    nu_at_most_through,
+    nu_blockers_from_scratch,
+    nu_blockers_through,
 )
 from hyperext.cliques import clique_census, count_cliques
 from hyperext.core import (
@@ -25,6 +28,7 @@ from hyperext.shifting import (
     enumerate_stable,
     is_stable,
     lift,
+    lifter,
     maximal_edges,
     precedes,
     shift,
@@ -195,53 +199,51 @@ class TestLift:
         for t in range(r, n + 1):
             span = (1 << t) - 1
             largest: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for h in enumerate_stable(n, r):
+            for h in naive_stable_families(n, r):
                 trace = tuple([e for e in h.edges if not e & ~span])
                 if len(h.edges) >= len(largest.get(trace, ())):
                     largest[trace] = h.edges
-            assert len(largest) == sum(1 for _ in enumerate_stable(t, r))
+            assert len(largest) == sum(1 for _ in naive_stable_families(t, r))
             for trace, edges in largest.items():
                 got = lift(Hypergraph._make(t, r, trace), n)
                 assert (got.n, got.r, got.edges) == (n, r, edges)
+
+    def test_fewer_vertices_than_the_trace_rejected(self):
+        # a family on [4] cannot hold the edges of K_6 through vertex 6
+        with pytest.raises(ValueError, match="t <= n"):
+            lift(Hypergraph.complete(6, 2), 4)
+        with pytest.raises(ValueError, match="t <= n"):
+            lifter(6, 4, 2)
 
 
 STREAM_GRID = [(5, 1), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (6, 4)]
 
 
-def _walk(n, r, pred, maximal):
+def _no_blockers(e):
+    return ()
+
+
+def _walk(n, r, blockers):
     """The stream of ``enumerate_stable`` and the budget nodes it spends."""
     budget = Budget(10**9)
-    stream = [
-        h.edges for h in enumerate_stable(n, r, pred, maximal=maximal, budget=budget)
-    ]
+    stream = [h.edges for h in enumerate_stable(n, r, blockers, budget=budget)]
     return stream, budget.limit - budget.left
 
 
-def _assert_same_stream_as_oracle(n, r, pred):
-    """Same families in the same order, maximal or not.  ``pred`` spends
-    nothing, so the budget counts the families the walk reaches.  The
-    full walk reaches every passing family and trips a budget of b nodes
-    after its first b; the maximal walk skips subtrees without a maximal
-    family, and trips a budget exactly when it is below the nodes the
-    walk spends, having yielded a prefix of its stream."""
-    every = [h.edges for h in naive_stable_families(n, r, pred)]
-    tops = [h.edges for h in naive_stable_families(n, r, pred, maximal=True)]
-    assert _walk(n, r, pred, False) == (every, len(every))
-    for budget in (1, 10, 100):
-        walk = enumerate_stable(n, r, pred, budget=Budget(budget))
-        if len(every) <= budget:
-            assert [h.edges for h in walk] == every
-            continue
-        got = []
-        with pytest.raises(BudgetExceededError) as info:
-            for h in walk:
-                got.append(h.edges)
-        assert str(info.value) == f"search budget exceeded after {budget} nodes"
-        assert got == every[:budget]
-    got, spent = _walk(n, r, pred, True)
+def _assert_same_stream_as_oracle(n, r, blockers):
+    """The maximal families of the per-element walk, in its order.  The
+    walk spends one node per family it reaches and skips subtrees
+    without a maximal family; it trips a budget exactly when that is
+    below the nodes the walk spends, having yielded a prefix of its
+    stream."""
+    tops = [
+        h.edges
+        for h in naive_stable_families(n, r, avoiding(blockers), maximal=True)
+    ]
+    got, spent = _walk(n, r, blockers)
     assert got == tops
     for budget in sorted({1, 10, 100, spent - 1, spent} - {0}):
-        walk = enumerate_stable(n, r, pred, maximal=True, budget=Budget(budget))
+        walk = enumerate_stable(n, r, blockers, budget=Budget(budget))
         if budget >= spent:
             assert [h.edges for h in walk] == tops
             continue
@@ -253,29 +255,31 @@ def _assert_same_stream_as_oracle(n, r, pred):
         assert got == tops[: len(got)]
 
 
-def _conflict_predicate(n, r, seed):
+def _conflict_blockers(n, r, seed):
     """A family passes iff it holds no pair from a random set of
-    conflicting pairs, which is closed under sub-downsets."""
+    conflicting pairs: e's blocker sets are the r-sets that conflict
+    with it, one to a set."""
     elements = sorted(r_subsets(n, r))
     rng = random.Random(seed)
     conflicts = {
         frozenset(rng.sample(elements, 2)) for _ in range(len(elements) // 2)
     }
 
-    def pred(h, e):
-        return all(frozenset((e, f)) not in conflicts for f in h.edges)
+    def blockers(e):
+        return [(f,) for f in elements if frozenset((e, f)) in conflicts]
 
-    return pred
+    return blockers
 
 
 class TestEnumerateStable:
     def test_tiny_counts_match_downset_oracle(self):
+        # the per-element walk the maximal walk is checked against
         for n, r in [(3, 2), (4, 2), (3, 3), (4, 3), (4, 1)]:
-            got = sum(1 for _ in enumerate_stable(n, r))
+            got = sum(1 for _ in naive_stable_families(n, r))
             assert got == naive_downset_count(n, r)
 
     def test_graph_case_n3(self):
-        fams = list(enumerate_stable(3, 2))
+        fams = list(naive_stable_families(3, 2))
         assert len(fams) == 4
         assert {f.edges for f in fams} == {
             (),
@@ -283,21 +287,26 @@ class TestEnumerateStable:
             (mask_from_labels([1, 2]), mask_from_labels([1, 3])),
             tuple(Hypergraph.complete(3, 2).edges),
         }
+        assert list(enumerate_stable(3, 2, _no_blockers)) == [
+            Hypergraph.complete(3, 2)
+        ]
 
     def test_everything_yielded_is_stable(self):
-        for h in enumerate_stable(5, 2):
-            assert is_stable(h)
+        rules = [nu_blockers_from_scratch(6, 2, 1), nu_blockers_through(6, 2, 2)]
+        rules += [_conflict_blockers(6, 2, seed) for seed in range(4)]
+        for blockers in rules:
+            for h in enumerate_stable(6, 2, blockers):
+                assert is_stable(h)
 
     def test_predicate_prunes_consistently(self):
-        def pred(h, e):
-            grown = Hypergraph.from_edge_masks(5, 2, h.edges + (e,))
-            return matching_number(grown)[0] <= 1
-
-        filtered = {h.edges for h in enumerate_stable(5, 2, pred)}
-        manual = {
-            h.edges for h in enumerate_stable(5, 2) if matching_number(h)[0] <= 1
-        }
-        assert filtered == manual
+        direct = [
+            set(h.edges)
+            for h in naive_stable_families(5, 2)
+            if matching_number(h)[0] <= 1
+        ]
+        tops = [f for f in direct if not any(f < g for g in direct)]
+        got = enumerate_stable(5, 2, nu_blockers_from_scratch(5, 2, 1))
+        assert [set(h.edges) for h in got] == tops
 
     @pytest.mark.parametrize(
         "n, r, k",
@@ -307,16 +316,20 @@ class TestEnumerateStable:
         ],
     )
     def test_maximal_yields_the_maximal_members(self, n, r, k):
-        pred = None if k is None else nu_at_most_from_scratch(k)
-        every = [set(h.edges) for h in enumerate_stable(n, r, pred)]
+        if k is None:
+            pred, blockers = None, _no_blockers
+        else:
+            pred = nu_at_most_from_scratch(k)
+            blockers = nu_blockers_from_scratch(n, r, k)
+        every = [set(h.edges) for h in naive_stable_families(n, r, pred)]
         maximal = [
             sorted(f) for f in every if not any(f < g for g in every)
         ]
-        got = [list(h.edges) for h in enumerate_stable(n, r, pred, maximal=True)]
+        got = [list(h.edges) for h in enumerate_stable(n, r, blockers)]
         assert got == [f for f in map(sorted, every) if f in maximal]
 
     def test_maximal_edges_are_the_removable_ones(self):
-        for h in enumerate_stable(5, 2):
+        for h in naive_stable_families(5, 2):
             removable = [
                 e
                 for e in h.edges
@@ -329,51 +342,69 @@ class TestEnumerateStable:
     @pytest.mark.parametrize("n, r", STREAM_GRID)
     @pytest.mark.parametrize("k", [None, 1, 2])
     def test_same_stream_as_the_per_element_walk(self, n, r, k):
-        pred = None if k is None else nu_at_most_from_scratch(k)
-        _assert_same_stream_as_oracle(n, r, pred)
+        if k is None:
+            _assert_same_stream_as_oracle(n, r, _no_blockers)
+        else:
+            _assert_same_stream_as_oracle(n, r, nu_blockers_from_scratch(n, r, k))
 
     @pytest.mark.parametrize("n, r", STREAM_GRID)
     @pytest.mark.parametrize("k", [1, 2])
     def test_same_stream_with_the_verifiers_nu_predicate(self, n, r, k):
-        # it accepts against some families with ν > k, where the
-        # from-scratch test rejects, so the walk prunes other subtrees
-        _assert_same_stream_as_oracle(n, r, nu_at_most_through(k))
+        # it lets e join some families with ν > k, where the from-scratch
+        # test does not, so the walk prunes other subtrees
+        _assert_same_stream_as_oracle(n, r, nu_blockers_through(n, r, k))
 
     @pytest.mark.parametrize("n, r", STREAM_GRID)
     def test_maximal_asks_every_skipped_element(self, n, r):
-        # a conflict predicate can reject the newest skipped element while
-        # it accepts an older one, which the ν predicates of this grid
-        # never do
+        # a conflict rule can reject the newest skipped element while it
+        # accepts an older one, which the ν rules of this grid never do
         for seed in range(4):
-            _assert_same_stream_as_oracle(n, r, _conflict_predicate(n, r, seed))
+            _assert_same_stream_as_oracle(n, r, _conflict_blockers(n, r, seed))
 
     @pytest.mark.parametrize("n, r", STREAM_GRID)
     def test_maximal_walk_reaches_no_more_than_the_full_walk(self, n, r):
-        preds = [None]
-        preds += [nu_at_most_from_scratch(k) for k in (1, 2)]
-        preds += [nu_at_most_through(k) for k in (1, 2)]
-        preds += [_conflict_predicate(n, r, seed) for seed in range(4)]
-        for pred in preds:
-            assert _walk(n, r, pred, True)[1] <= _walk(n, r, pred, False)[1]
+        rules = [_no_blockers]
+        rules += [nu_blockers_from_scratch(n, r, k) for k in (1, 2)]
+        rules += [nu_blockers_through(n, r, k) for k in (1, 2)]
+        rules += [_conflict_blockers(n, r, seed) for seed in range(4)]
+        for blockers in rules:
+            every = sum(1 for _ in naive_stable_families(n, r, avoiding(blockers)))
+            assert _walk(n, r, blockers)[1] <= every
+
+    @pytest.mark.parametrize("n, r", STREAM_GRID)
+    def test_blockers_asked_at_most_once_per_r_set(self, n, r):
+        # the walk keeps each r-set's blocker sets for the whole walk, however
+        # many of the families it reaches ask about that r-set
+        rules = [nu_blockers_from_scratch(n, r, 1), nu_blockers_through(n, r, 2)]
+        rules += [_conflict_blockers(n, r, seed) for seed in range(2)]
+        for blockers in rules:
+            asked = Counter()
+
+            def counted(e, blockers=blockers):
+                asked[e] += 1
+                return blockers(e)
+
+            assert _walk(n, r, counted) == _walk(n, r, blockers)
+            assert asked and max(asked.values()) == 1
 
     def test_maximal_walk_on_the_span_reaches_2761_of_11720_families(self):
-        # ν <= 2 on [9] = [r(k+1)], r = 3.  The verifier's predicate
-        # accepts against the upper bound of a node even where that has
-        # ν > 2, so it prunes more than the from-scratch test, which
-        # rejects there
-        scratch, through = nu_at_most_from_scratch(2), nu_at_most_through(2)
-        tops, spent = _walk(9, 3, through, True)
+        # ν <= 2 on [9] = [r(k+1)], r = 3.  The verifier's rule lets e join
+        # the upper bound of a node even where that has ν > 2, so it
+        # prunes more than the from-scratch test, which rejects there
+        scratch = nu_blockers_from_scratch(9, 3, 2)
+        tops, spent = _walk(9, 3, nu_blockers_through(9, 3, 2))
         assert (len(tops), spent) == (68, 2761)
-        assert _walk(9, 3, scratch, True) == (tops, 3509)
-        assert _walk(9, 3, scratch, False)[1] == 11720
+        assert _walk(9, 3, scratch) == (tops, 3509)
+        every = naive_stable_families(9, 3, nu_at_most_from_scratch(2))
+        assert sum(1 for _ in every) == 11720
 
     def test_budget_error_carries_progress(self):
         with pytest.raises(BudgetExceededError, match="after 10 nodes"):
-            for _ in enumerate_stable(5, 2, budget=Budget(10)):
+            for _ in enumerate_stable(5, 2, _no_blockers, budget=Budget(10)):
                 pass
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
-            list(enumerate_stable(2, 3))
+            list(enumerate_stable(2, 3, _no_blockers))
         with pytest.raises(ValueError):
-            list(enumerate_stable(3, 0))
+            list(enumerate_stable(3, 0, _no_blockers))

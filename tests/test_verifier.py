@@ -10,6 +10,7 @@ from mpmath import mp
 from conftest import (
     all_families_prop32_cell,
     all_leaves_cell,
+    avoiding,
     clique_edges,
     every_graph_cell,
     naive_matching_number,
@@ -68,7 +69,7 @@ class TestStableWithMatching:
     def test_no_qualifying_family_missed(self):
         direct = [
             set(h.edges)
-            for h in enumerate_stable(6, 2)
+            for h in naive_stable_families(6, 2)
             if matching_number(h)[0] <= 1
         ]
         tops = {
@@ -82,7 +83,7 @@ class TestStableWithMatching:
         checked = 0
         for n in range(1, 9):
             for r in range(1, n + 1):
-                for h in enumerate_stable(n, r):
+                for h in naive_stable_families(n, r):
                     for k in range(n // r):
                         span = (1 << r * (k + 1)) - 1
                         inside = tuple([e for e in h.edges if not e & ~span])
@@ -139,19 +140,21 @@ class TestStableWithMatching:
         ],
     )
     def test_pattern_lookup_equals_the_nu_search(self, monkeypatch, r, k, questions):
-        # the walk's test on [t], t = r(k+1), against a ν search on the
-        # edges that miss e: every stable family, passing or not, with
-        # every r-set outside it whose covers it holds
+        # the blocker rule the verifier hands the walk on [t], t = r(k+1),
+        # against a ν search on the edges that miss e: every stable
+        # family, passing or not, with every r-set outside it whose
+        # covers it holds
         asks = []
 
-        def walk(n, size, predicate, **kwargs):
-            asks.append(predicate)
+        def walk(n, size, blockers, **kwargs):
+            asks.append(blockers)
             return iter(())
 
         monkeypatch.setattr(verifier, "enumerate_stable", walk)
         t = r * (k + 1)
         list(stable_with_matching_at_most(t, r, k))
-        (fits,) = asks
+        (blockers,) = asks
+        fits = avoiding(blockers)
         universe = sorted(r_subsets(t, r))
         below = {
             e: [f for f in universe if f != e and precedes(f, e)] for e in universe
@@ -270,7 +273,9 @@ class TestMaximalOnlySearch:
 
     def test_counts_only_maximal_families(self):
         rep = verify_extremal_cell(7, 2, 2, 3)
-        maximal = list(enumerate_stable(7, 2, nu_at_most_from_scratch(2), maximal=True))
+        maximal = list(
+            naive_stable_families(7, 2, nu_at_most_from_scratch(2), maximal=True)
+        )
         assert rep.nodes == len(maximal)
         assert rep.witness in maximal
 
@@ -283,12 +288,15 @@ class TestMaximalOnlySearch:
         rep = verify_extremal_cell(7, 2, 2, 4)
         assert rep.regime == "III" and rep.claimed_bound == 5
         sizes = [
-            len(h.edges) for h in enumerate_stable(7, 2, nu_at_most_from_scratch(2))
+            len(h.edges)
+            for h in naive_stable_families(7, 2, nu_at_most_from_scratch(2))
         ]
         assert rep.second_best == max(v for v in sizes if v < 5) == 4
         assert min(
             len(h.edges)
-            for h in enumerate_stable(7, 2, nu_at_most_from_scratch(2), maximal=True)
+            for h in naive_stable_families(
+                7, 2, nu_at_most_from_scratch(2), maximal=True
+            )
         ) > 6
 
     def test_no_reference_cycle_left_behind(self):
@@ -297,7 +305,7 @@ class TestMaximalOnlySearch:
         star = build_extremal_family(8, 1, 2, 1)
         routes = [
             lambda: verify_extremal_cell(7, 2, 2, 3),
-            lambda: list(enumerate_stable(6, 2, maximal=True)),
+            lambda: list(enumerate_stable(6, 2, lambda e: ())),
             lambda: list(stable_with_matching_at_most(7, 2, 2)),
             lambda: verify_proposition_3_2(7, 1, 3, 4),
             lambda: find_rainbow_matching(ColoredFamily(8, 2, (star, star))),
