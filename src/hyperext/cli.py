@@ -238,9 +238,10 @@ def _parse_sweep_config(text: str) -> list[tuple[int, int, int, int]]:
 def _cmd_verify_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cells = _parse_sweep_config(fh.read())
-    reports = run_extremal_sweep(cells, jobs=args.jobs)
-    for report in reports:
-        print(report.to_json_line())
+    reports = []
+    for report in run_extremal_sweep(cells, jobs=args.jobs):
+        print(report.to_json_line(), flush=True)
+        reports.append(report)
     return _exit_code(reports)
 
 

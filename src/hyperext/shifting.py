@@ -10,9 +10,10 @@ of the sorted-componentwise precedence order ≺ on r-sets.
 ``enumerate_stable`` walks the ⊆-maximal downsets that a blocker rule
 builds from the empty family, ``blockers(e)`` listing the edge sets that
 keep the r-set e out.  A family is a bit set over the colex indices of
-the r-sets.  The walk takes one step per family it reaches, skips every
-subtree that holds no maximal family, and spends one node of its
-``core.Budget`` per step; its docstring gives the order and the proof.
+the r-sets.  The walk is a depth-first stack with one node per family
+it reaches, each node holding its own state.  It skips every subtree
+that holds no maximal family and spends one node of its ``core.Budget``
+on each family it reaches; its docstring gives the order and the proof.
 
 ``lift(g, n)`` extends a stable family g on [t] to the largest stable
 family on [n] whose trace on [t] is g, in one colex pass over the
@@ -209,9 +210,10 @@ def enumerate_stable(
     family may join each subfamily that holds its covers, and the
     families the rule builds one r-set at a time are closed under
     sub-downsets (e.g. ν <= k).  ``blockers`` is asked at most once per
-    r-set per walk.  Each set on its list becomes a bit set p over the
-    colex indices of the r-sets, and a family D, as such a bit set,
-    holds it iff ``p & D == p``.
+    r-set per walk, and a mask on its list that is no r-set of [n]
+    raises ``ValueError``.  Each set on its list becomes a bit set p
+    over the colex indices of the r-sets, and a family D, as such a bit
+    set, holds it iff ``p & D == p``.
 
     Each family D the rule builds is one node of a tree; its children
     are D plus one r-set after D's colex-last edge.  The colex-last edge
@@ -249,9 +251,16 @@ def enumerate_stable(
     candidate of A or was rejected above it.  If A = D, it was
     rejected; otherwise A went on to a child after x, so x was rejected
     or skipped at A.  So the walk yields the maximal families in the
-    order above.  It keeps S(D) as a bit set along the path: a node adds
-    the r-sets above each candidate it rejects, and a child those above
-    each candidate it skips.  Skipped r-sets are asked newest first,
+    order above.
+
+    The walk is a depth-first stack of nodes, none changed once made.
+    Each node carries its own D, S(D) as a bit set, its candidates and
+    its skipped chain: the r-sets skipped on the way to D, newest first,
+    as pairs (r-set, rest).  A node adds to its S(D) the r-sets above
+    each candidate it rejects; a child starts from that and adds the
+    r-sets above each candidate it skips, and its chain puts those
+    candidates, newest first, ahead of D's.  The last child is pushed
+    last, so it is popped first.  Skipped r-sets are asked newest first,
     stopping at the first acceptance; an r-set once rejected needs no
     second question, since the family only grows.  Two blocker rules
     that build the same families may answer differently against U(D),
@@ -268,21 +277,17 @@ def enumerate_stable(
     position = {e: i for i, e in enumerate(elements)}
     # below[i]: the covers of element i, as bits over the indices;
     # up[i]: the elements that element i covers, ascending
-    below: list[int] = []
+    below = [0] * len(elements)
     up: list[list[int]] = [[] for _ in elements]
     for i, e in enumerate(elements):
-        bits = 0
         for c in _covers(e):
-            bits |= 1 << position[c]
+            below[i] |= 1 << position[c]
             up[position[c]].append(i)
-        below.append(bits)
     # above[i]: element i and every element it precedes, as bits
-    above = [0] * len(elements)
+    above = [1 << i for i in range(len(elements))]
     for i in reversed(range(len(elements))):
-        bits = 1 << i
         for u in up[i]:
-            bits |= above[u]
-        above[i] = bits
+            above[i] |= above[u]
     # blocked[i]: the blocker sets of element i as bits, once asked
     blocked: list[list[int] | None] = [None] * len(elements)
 
@@ -290,22 +295,27 @@ def enumerate_stable(
         """Whether element i may join ``family``, both as index bits."""
         sets = blocked[i]
         if sets is None:
-            sets = blocked[i] = [
-                sum(1 << position[f] for f in p) for p in blockers(elements[i])
-            ]
+            # listed before the try: a KeyError raised inside
+            # ``blockers`` is the caller's, not a bad mask
+            listed = list(blockers(elements[i]))
+            try:
+                sets = [sum(1 << position[f] for f in p) for p in listed]
+            except KeyError as err:
+                raise ValueError(
+                    f"blockers({elements[i]}) lists {err.args[0]}, "
+                    f"not a {r}-set of [{n}]"
+                ) from None
+            blocked[i] = sets
         for p in sets:
             if p & family == p:
                 return False
         return True
 
-    family = 0
-    shadow = 0  # S(family), the complement of U(family)
-    skipped: list[int] = []
-    # one frame per node on the path: its accepted candidates, the
-    # position of the child being walked and each child's shadow
-    stack: list[list] = []
-    candidates = [i for i, bits in enumerate(below) if not bits]
-    while True:
+    # a node: its family, S(family), its candidates and the r-sets
+    # skipped on the way to it, a chain (r_set, rest) newest first
+    stack = [(0, 0, [i for i, bits in enumerate(below) if not bits], ())]
+    while stack:
+        family, shadow, candidates, skipped = stack.pop()
         budget.spend()
         accepted = []
         for c in candidates:
@@ -314,38 +324,22 @@ def enumerate_stable(
             else:
                 shadow |= above[c]
         # the bits of ~shadow, a negative int, are U(family)
-        if skipped and any(joins(~shadow, s) for s in reversed(skipped)):
-            accepted = []  # no family from here down is maximal
-        elif not accepted:
+        rest = skipped
+        while rest and not joins(~shadow, rest[0]):
+            rest = rest[1]
+        if rest:
+            continue  # no family from here down is maximal
+        if not accepted:
             yield Hypergraph._make(
                 n, r, tuple([elements[i] for i in iter_bits(family)])
             )
-        # children go from the last accepted candidate down, and each
-        # skips the accepted candidates before it
-        skipped.extend(accepted[:-1])
-        shadows = [shadow]
-        for s in accepted[:-1]:
-            shadows.append(shadows[-1] | above[s])
-        stack.append([accepted, len(accepted), shadows])
-        # step to the next child of the deepest node that has one left,
-        # undoing each child whose subtree is done
-        while stack:
-            frame = stack[-1]
-            accepted, pos, shadows = frame
-            if pos < len(accepted):
-                family ^= 1 << accepted[pos]
-                if pos:
-                    skipped.pop()  # the next child, accepted[pos - 1]
-            if not pos:
-                stack.pop()
-                continue
-            pos -= 1
-            frame[1] = pos
-            j = accepted[pos]
-            family |= 1 << j
-            shadow = shadows[pos]
-            fresh = [u for u in up[j] if below[u] & family == below[u]]
-            candidates = sorted(accepted[pos + 1:] + fresh)
-            break
-        else:
-            return
+        # the child adding accepted[pos] skips accepted[:pos]; the last
+        # child is pushed last, so its subtree is walked first
+        for pos, j in enumerate(accepted):
+            child = family | 1 << j
+            fresh = [u for u in up[j] if below[u] & child == below[u]]
+            stack.append(
+                (child, shadow, sorted(accepted[pos + 1:] + fresh), skipped)
+            )
+            shadow |= above[j]
+            skipped = (j, skipped)

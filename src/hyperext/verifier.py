@@ -22,6 +22,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 from .cliques import count_cliques, enumerate_cliques
 from .core import Budget, ColoredFamily, Hypergraph, iter_bits, serialize
@@ -380,13 +381,21 @@ def _cell_worker(cell: tuple[int, int, int, int]) -> VerificationReport:
 
 def run_extremal_sweep(
     cells: list[tuple[int, int, int, int]], jobs: int = 1
-) -> list[VerificationReport]:
-    """Run independent cells in ``jobs`` >= 1 processes, results ordered by
-    cell key regardless of completion order."""
+) -> Iterator[VerificationReport]:
+    """Run independent cells in ``jobs`` >= 1 processes.  ``jobs`` is
+    checked at the call; the iterator returned yields the reports in
+    cell-key order, each once it and the cells before it are done,
+    regardless of completion order.  A cell that raises ends it there."""
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     ordered = sorted(set(cells))
     if jobs == 1:
-        return [_cell_worker(c) for c in ordered]
+        return map(_cell_worker, ordered)
+    return _pooled(ordered, jobs)
+
+
+def _pooled(
+    cells: list[tuple[int, int, int, int]], jobs: int
+) -> Iterator[VerificationReport]:
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_cell_worker, ordered))
+        yield from pool.map(_cell_worker, cells)

@@ -151,7 +151,7 @@ def test_criterion_05_regime_iii_confirmation():
         for s in range((r - 1) * (k + 1) + 1, r * k + r):
             for n in range(r * k + r - 1, r * k + r + 3):
                 cells.append((n, k, r, s))
-    reports = run_extremal_sweep(cells, jobs=4)
+    reports = list(run_extremal_sweep(cells, jobs=4))
     bad = 0
     for rep in reports:
         k, r, s = rep.cell["k"], rep.cell["r"], rep.cell["s"]

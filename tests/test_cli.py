@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -230,6 +232,41 @@ class TestVerify:
         assert [json.loads(l)["status"] for l in out.splitlines()] == [
             "invariant-broken"
         ] * 2
+
+    def test_sweep_writes_each_line_before_the_next_cell(self, monkeypatch, tmp_path):
+        from hyperext import verifier
+
+        class Stdout(io.StringIO):
+            flushed = ""
+
+            def flush(self):
+                self.flushed = self.getvalue()
+
+        out = Stdout()
+        seen = []  # what stdout had flushed when each cell started
+        cell_worker = verifier._cell_worker
+
+        def worker(cell):
+            seen.append(out.flushed)
+            return cell_worker(cell)
+
+        monkeypatch.setattr(verifier, "_cell_worker", worker)
+        monkeypatch.setattr(sys, "stdout", out)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("r=2, k=1, s=2, n=5..6\n")
+        assert main(["verify", "sweep", "--config", str(cfg)]) == 0
+        lines = out.flushed.splitlines()
+        assert [json.loads(l)["cell"]["n"] for l in lines] == [5, 6]
+        assert seen == ["", lines[0] + "\n"]
+
+    def test_sweep_stops_at_a_cell_that_raises(self, capsys, tmp_path):
+        # cells in key order: (5, 1, 2, 2), then (6, 0, 2, 2), which raises
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("r=2, s=2, n=5..6, k=6-n\n")
+        code, out, err = run(capsys, "verify", "sweep", "--config", str(cfg))
+        assert code == 2
+        assert [json.loads(l)["cell"]["n"] for l in out.splitlines()] == [5]
+        assert "n, k, r, s must be positive" in err
 
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

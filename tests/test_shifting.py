@@ -403,6 +403,19 @@ class TestEnumerateStable:
             for _ in enumerate_stable(5, 2, _no_blockers, budget=Budget(10)):
                 pass
 
+    def test_walk_deeper_than_the_recursion_limit(self):
+        # r = 1: the families are the chains {1..i}, and the walk reaches
+        # all 1,201 of them, one below the other, to yield [1200]
+        stream, spent = _walk(1200, 1, _no_blockers)
+        assert stream == [tuple(1 << i for i in range(1200))]
+        assert spent == 1201
+
+    @pytest.mark.parametrize("mask", [1 << 7 | 1, 0b111, 0])
+    def test_blocker_set_holding_no_r_set_rejected(self, mask):
+        # asked first about {1, 2} = 3; 129 = {1, 8} lies outside [4]
+        with pytest.raises(ValueError, match=rf"blockers\(3\) lists {mask}, not a 2-set of \[4\]"):
+            list(enumerate_stable(4, 2, lambda e: [(mask,)]))
+
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_stable(2, 3, _no_blockers))
