@@ -22,17 +22,21 @@ shift that avoids X.
 
 The verifier's walk runs no search: whether a stable family on [rk] has
 k disjoint edges is read off ``perfect_matching_patterns(r, k)``, a few
-edge sets one of which it must hold.  The search serves everything else,
-among it the verifier's re-check of each witness and ``hyperext nu``.
+edge sets one of which it must hold.  Those are built on the index of
+the r-sets of [rk] and of ≺ that ``shifting.colex_order`` gives the
+walk too.  The search serves everything else, among it the verifier's
+re-check of each witness and ``hyperext nu``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
+from operator import or_
 
-from .core import Budget, ColoredFamily, Hypergraph, iter_bits, neighborhood, r_subsets
+from .core import Budget, ColoredFamily, Hypergraph, iter_bits, neighborhood
+from .shifting import colex_order
 
 
 @dataclass(frozen=True)
@@ -140,27 +144,19 @@ def perfect_matching_patterns(r: int, k: int) -> tuple[tuple[int, ...], ...]:
 
     The matchings are built edge by edge, each edge through the lowest
     vertex not yet covered.  down(M) is a bit set over the r-sets of
-    [rk], the union of one down({e}) per edge, so whether every edge of
-    M is ≺ some edge of M' is one AND.  Two partial matchings that cover
-    the same vertices have the same completions, and the one with the
-    larger down(·) stays larger after each, so only the ⊆-minimal
-    down(·) are kept per vertex set covered.  Built once per (r, k) and
-    kept for the process.
+    [rk] in ``shifting.colex_order``, the union of one down({e}) per
+    edge, so whether every edge of M is ≺ some edge of M' is one AND.
+    Two partial matchings that cover the same vertices have the same
+    completions, and the one with the larger down(·) stays larger after
+    each, so only the ⊆-minimal down(·) are kept per vertex set
+    covered.  A kept down(·) is a downset, so an edge of it is
+    ≺-maximal iff it is a cover of none of its edges.  Built once per
+    (r, k) and kept for the process.
     """
     if r < 1 or k < 0:
         raise ValueError(f"need r >= 1 and k >= 0, got r={r}, k={k}")
     full = (1 << r * k) - 1
-    sets = sorted(r_subsets(r * k, r))
-    index = {e: i for i, e in enumerate(sets)}
-    # down[i]: the r-sets ≺ sets[i], as bits over the indices; covers
-    # come first in colex order
-    down: list[int] = []
-    for e in sets:
-        d = 1 << len(down)
-        for v in iter_bits(e):
-            if v and not e >> (v - 1) & 1:  # the cover that lowers v by one
-                d |= down[index[e ^ (3 << (v - 1))]]
-        down.append(d)
+    sets, index, below, _, down, _ = colex_order(r * k, r)
 
     # covered vertex set -> the ⊆-minimal down(·) of the partial
     # matchings that cover it
@@ -184,10 +180,8 @@ def perfect_matching_patterns(r: int, k: int) -> tuple[tuple[int, ...], ...]:
 
     patterns = []
     for d in layer[full]:
-        strictly_below = 0
-        for i in iter_bits(d):
-            strictly_below |= down[i] ^ (1 << i)
-        patterns.append(tuple([sets[i] for i in iter_bits(d & ~strictly_below)]))
+        not_maximal = reduce(or_, [below[i] for i in iter_bits(d)], 0)
+        patterns.append(tuple([sets[i] for i in iter_bits(d & ~not_maximal)]))
     return tuple(sorted(patterns))
 
 
@@ -223,24 +217,22 @@ def greedy_matching_from_high_degree_vertices(
 ) -> Matching | None:
     """Greedy step i: first edge through v_i avoiding earlier edges and later v_j.
 
-    ``vertices`` are distinct 1-indexed labels.  Succeeds whenever the
-    degree hypothesis deg(v_i) > 2(k-1) C(n-2, r-2) holds (with rk <= n);
-    may return None otherwise.
+    ``vertices`` are distinct labels in [n], else ``ValueError``.
+    Succeeds whenever the degree hypothesis deg(v_i) > 2(k-1) C(n-2, r-2)
+    holds (with rk <= n); may return None otherwise.
     """
     if len(set(vertices)) != len(vertices):
         raise ValueError("vertices must be distinct")
+    for v in vertices:
+        if not 1 <= v <= h.n:
+            raise ValueError(f"vertex {v} is not a label in [1, {h.n}]")
     chosen: list[int] = []
     used = 0
     for i, v in enumerate(vertices):
         vbit = 1 << (v - 1)
-        later = 0
-        for w in vertices[i + 1 :]:
-            later |= 1 << (w - 1)
-        pick = None
-        for e in h.edges:
-            if e & vbit and not e & used and not e & later:
-                pick = e
-                break
+        # the labels are distinct, so the sum of their bits is their union
+        avoid = used | sum(1 << (w - 1) for w in vertices[i + 1 :])
+        pick = next((e for e in h.edges if e & vbit and not e & avoid), None)
         if pick is None:
             return None
         chosen.append(pick)
@@ -267,11 +259,8 @@ def greedy_matching_from_disjoint_tuples(
     chosen: list[int] = []
     used_b = 0
     for a_mask in tuples:
-        pick = None
-        for b in neighborhood(h, a_mask):
-            if not b & all_a and not b & used_b:
-                pick = b
-                break
+        avoid = all_a | used_b
+        pick = next((b for b in neighborhood(h, a_mask) if not b & avoid), None)
         if pick is None:
             return None
         chosen.append(a_mask | pick)

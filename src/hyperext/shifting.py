@@ -7,13 +7,21 @@ decreases clique counts, and never increases the matching number.  A
 stable r-graph is fixed by every S_ij with i < j, equivalently a downset
 of the sorted-componentwise precedence order ≺ on r-sets.
 
+``colex_order(n, r)`` lists the r-sets of [n] in colex order and gives
+≺ on them as bit sets over their indices: the covers of each r-set,
+the r-sets it covers, and both closures.  It is the one index of ≺ in
+the library; the walk below and ``matchings.perfect_matching_patterns``
+read it, on small [n] only.
+
 ``enumerate_stable`` walks the ⊆-maximal downsets that a blocker rule
 builds from the empty family, ``blockers(e)`` listing the edge sets that
 keep the r-set e out.  A family is a bit set over the colex indices of
-the r-sets.  The walk is a depth-first stack with one node per family
-it reaches, each node holding its own state.  It skips every subtree
-that holds no maximal family and spends one node of its ``core.Budget``
-on each family it reaches; its docstring gives the order and the proof.
+the r-sets, and so is each blocker set, built once per r-set before
+the walk starts.  The walk is a depth-first stack with one node per
+family it reaches, each node holding its own state.  It skips every
+subtree that holds no maximal family and spends one node of its
+``core.Budget`` on each family it reaches; its docstring gives the
+order and the proof.
 
 ``lift(g, n)`` extends a stable family g on [t] to the largest stable
 family on [n] whose trace on [t] is g, in one colex pass over the
@@ -27,6 +35,8 @@ families on [n] exactly the lifts of those on [t]; the verifier walks
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator
 
 from .core import Budget, Hypergraph, iter_bits, labels_from_mask, r_subsets
@@ -149,6 +159,37 @@ def _covers(e: int) -> list[int]:
     return out
 
 
+def colex_order(
+    n: int, r: int
+) -> tuple[list[int], dict[int, int], list[int], list[list[int]], list[int], list[int]]:
+    """The r-sets of [n] in colex order, and ≺ on them as bit sets over
+    their indices: ``(elements, position, below, up, down, above)``.
+
+    ``position[e]`` is the index of the r-set e.  ``below[i]`` holds the
+    covers of element i (``_covers``), and ``up[i]`` lists the elements
+    that element i covers, ascending.  ``down[i]`` holds element i and
+    every element ≺ it, and ``above[i]`` element i and every element it
+    precedes.  Covers come before an r-set in colex order, so ``down``
+    is built in one ascending pass and ``above`` in one descending pass.
+    Each bit set has C(n, r) bits, so this is for small [n] only.
+    """
+    elements = sorted(r_subsets(n, r))
+    position = {e: i for i, e in enumerate(elements)}
+    below = [0] * len(elements)
+    up: list[list[int]] = [[] for _ in elements]
+    down = [1 << i for i in range(len(elements))]
+    for i, e in enumerate(elements):
+        for f in _covers(e):
+            c = position[f]
+            below[i] |= 1 << c
+            up[c].append(i)
+            down[i] |= down[c]
+    above = [0] * len(elements)
+    for i in reversed(range(len(elements))):
+        above[i] = reduce(or_, [above[u] for u in up[i]], 1 << i)
+    return elements, position, below, up, down, above
+
+
 def lifter(t: int, n: int, r: int) -> Callable[[Hypergraph], Hypergraph]:
     """ext_n on the stable r-graphs on [t], t <= n: ``lifter(t, n, r)(g)``
     is ``lift(g, n)``.  The r-sets that leave [t] and their covers are
@@ -209,11 +250,12 @@ def enumerate_stable(
     A set held by a subfamily is held by the family, so what may join a
     family may join each subfamily that holds its covers, and the
     families the rule builds one r-set at a time are closed under
-    sub-downsets (e.g. ν <= k).  ``blockers`` is asked at most once per
-    r-set per walk, and a mask on its list that is no r-set of [n]
-    raises ``ValueError``.  Each set on its list becomes a bit set p
-    over the colex indices of the r-sets, and a family D, as such a bit
-    set, holds it iff ``p & D == p``.
+    sub-downsets (e.g. ν <= k).  ``blockers`` is asked once per r-set,
+    in colex order, before the walk reaches its first family, and a
+    mask on its list that is no r-set of [n] raises ``ValueError``.
+    Each set on its list becomes a bit set p over the colex indices of
+    the r-sets (``colex_order``), a mask repeated in it counted once,
+    and a family D, as such a bit set, holds it iff ``p & D == p``.
 
     Each family D the rule builds is one node of a tree; its children
     are D plus one r-set after D's colex-last edge.  The colex-last edge
@@ -273,40 +315,26 @@ def enumerate_stable(
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     budget = budget or Budget()
-    elements = sorted(r_subsets(n, r))
-    position = {e: i for i, e in enumerate(elements)}
-    # below[i]: the covers of element i, as bits over the indices;
-    # up[i]: the elements that element i covers, ascending
-    below = [0] * len(elements)
-    up: list[list[int]] = [[] for _ in elements]
-    for i, e in enumerate(elements):
-        for c in _covers(e):
-            below[i] |= 1 << position[c]
-            up[position[c]].append(i)
-    # above[i]: element i and every element it precedes, as bits
-    above = [1 << i for i in range(len(elements))]
-    for i in reversed(range(len(elements))):
-        for u in up[i]:
-            above[i] |= above[u]
-    # blocked[i]: the blocker sets of element i as bits, once asked
-    blocked: list[list[int] | None] = [None] * len(elements)
+    elements, position, below, up, _, above = colex_order(n, r)
+    # blocked[i]: the blocker sets of element i as bits, asked once
+    # before the walk; OR sets the bit of a repeated mask once
+    blocked = []
+    for e in elements:
+        sets = []
+        for p in blockers(e):
+            bits = 0
+            for f in p:
+                if f not in position:
+                    raise ValueError(
+                        f"blockers({e}) lists {f}, not a {r}-set of [{n}]"
+                    )
+                bits |= 1 << position[f]
+            sets.append(bits)
+        blocked.append(sets)
 
     def joins(family: int, i: int) -> bool:
         """Whether element i may join ``family``, both as index bits."""
-        sets = blocked[i]
-        if sets is None:
-            # listed before the try: a KeyError raised inside
-            # ``blockers`` is the caller's, not a bad mask
-            listed = list(blockers(elements[i]))
-            try:
-                sets = [sum(1 << position[f] for f in p) for p in listed]
-            except KeyError as err:
-                raise ValueError(
-                    f"blockers({elements[i]}) lists {err.args[0]}, "
-                    f"not a {r}-set of [{n}]"
-                ) from None
-            blocked[i] = sets
-        for p in sets:
+        for p in blocked[i]:
             if p & family == p:
                 return False
         return True

@@ -138,15 +138,15 @@ def stable_with_matching_at_most(
         return iter([Hypergraph.complete(n, r)])
 
     patterns = perfect_matching_patterns(r, k)
+    vertices = {f: list(iter_bits(f)) for p in patterns for f in p}
     span = (1 << t) - 1
 
     def carried(e: int) -> list[tuple[int, ...]]:
-        """The patterns carried onto [t] - e by the increasing map."""
-        onto = list(iter_bits(span & ~e))
-        return [
-            tuple([sum(1 << onto[v] for v in iter_bits(f)) for f in p])
-            for p in patterns
-        ]
+        """The patterns carried onto [t] - e by the increasing map, each
+        edge that patterns share carried once."""
+        onto = [1 << v for v in iter_bits(span & ~e)]
+        image = {f: sum([onto[v] for v in vs]) for f, vs in vertices.items()}
+        return [tuple([image[f] for f in p]) for p in patterns]
 
     walk = enumerate_stable(t, r, carried, budget=budget)
     if n == t:
@@ -287,7 +287,12 @@ def verify_rainbow_cell(
 ) -> VerificationReport:
     """Random hypothesis-passing families must contain a rainbow matching;
     the boundary family (every color the level-1 extremal family on k-1)
-    must not, confirming strictness of the hypothesis."""
+    must not, confirming strictness of the hypothesis.  ``trials`` >= 0
+    and r <= t <= k+r-2, else ``ValueError``."""
+    if trials < 0:
+        raise ValueError(f"need trials >= 0, got trials={trials}")
+    if not r <= t <= k + r - 2:
+        raise ValueError(f"need r <= t <= k+r-2, got t={t}, r={r}, k={k}")
     start = time.monotonic()
     rng = random.Random(seed)
     expected = trials + 1

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 from functools import reduce
 from itertools import combinations
@@ -213,6 +214,36 @@ class TestPerfectMatchingPatterns:
         # perfect matching's downclosure holds one
         assert {_downclosure(p, universe) for p in patterns} == least
 
+    @pytest.mark.parametrize(
+        "r, k, count, digest",
+        [
+            (3, 4, 880, "9406cc73a7ba57576df37ae0664a416cbc7370f2ed65713ea0a7beede7e9c651"),
+            (4, 3, 1658, "b2577b0f3ad6c6fe2019e06beed3abb69f6d8e9d20aca055dec60a16a7d11882"),
+            (2, 10, 1, "81213f5743f4aba1dbaaf83b908ef59479d9a0c86e37a02dd53e6ad556d70422"),
+            (1, 0, 1, "6af22f1bc2d94295cb210c6a0734b0d7459c92909665da49d949785ecea55bf8"),
+            (1, 1, 1, "8349bb5d2d44e8d655364829a2ce742165d10f6cb3966ecc05e35fb83ab9f28c"),
+            (1, 4, 1, "2d9dd037e7313b65cccd221c129650cc754c8097bf71b74ceb215cc221c05868"),
+            (2, 0, 1, "6af22f1bc2d94295cb210c6a0734b0d7459c92909665da49d949785ecea55bf8"),
+            (2, 1, 1, "f22f1e2ecd4e0ee531ef5bbd4d6dfd81c05d0f489b7dd6770e47e5f7ca2aea78"),
+            (2, 3, 1, "5480020a20801c02b4e1019868854e5f004280da0c77d32202ea12f8c035033f"),
+            (2, 4, 1, "d012a9efa315e2e3cf38761f830c1c8c76ba295d37b625c8d7a429028bbed4a6"),
+            (3, 0, 1, "6af22f1bc2d94295cb210c6a0734b0d7459c92909665da49d949785ecea55bf8"),
+            (3, 1, 1, "bc82d11acb216169494b70249f4108e96117cae089aab8b768f133215305c207"),
+            (5, 1, 1, "84398b9036afc58b49c2560cfb4e8aa9908f8486944a7ad73f917fc9efa9808a"),
+            (3, 2, 5, "e6c28f2acd8c5aa943eb2839c1db84945c9b79182113353947ca650f319ca72e"),
+            (4, 2, 21, "3219b5c6f08a2a3e95228644cfe8e8e9f22b3e8904812eb6615fc1fda57d566e"),
+            (3, 3, 52, "c81f59261f7e8e94e8067a93c3553a1581518b0ad0ba8f835573098724dd9544"),
+            (5, 2, 84, "1a4d5a6fa0fa014341061fab07899766551cfeb98414097034431b29f3a255be"),
+        ],
+    )
+    def test_table_pinned_by_digest(self, r, k, count, digest):
+        # sha256 of the repr of the whole table, as built when the
+        # pattern generator kept its own index of the r-sets of [rk];
+        # (3, 4), (4, 3) and (2, 10) are too large for the definition above
+        patterns = perfect_matching_patterns(r, k)
+        assert len(patterns) == count
+        assert hashlib.sha256(repr(patterns).encode()).hexdigest() == digest
+
     def test_bad_arguments_rejected(self):
         for r, k in [(0, 1), (2, -1)]:
             with pytest.raises(ValueError):
@@ -297,6 +328,15 @@ class TestGreedyHighDegree:
         with pytest.raises(ValueError):
             greedy_matching_from_high_degree_vertices(
                 Hypergraph.complete(4, 2), [1, 1]
+            )
+
+    @pytest.mark.parametrize("label", [0, -1, 6, 9])
+    def test_label_outside_the_vertex_set_rejected(self, label):
+        # 0 and below once raised "negative shift count"; 6 and above
+        # once returned None, as if a greedy step had failed
+        with pytest.raises(ValueError, match=rf"vertex {label} is not a label in \[1, 5\]"):
+            greedy_matching_from_high_degree_vertices(
+                Hypergraph.complete(5, 2), [1, label]
             )
 
     def test_degree_hypothesis_makes_greedy_succeed(self):

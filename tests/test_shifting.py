@@ -25,6 +25,7 @@ from hyperext.extremal import build_extremal_family
 from hyperext.matchings import matching_number
 from hyperext.randgen import random_hypergraph
 from hyperext.shifting import (
+    colex_order,
     enumerate_stable,
     is_stable,
     lift,
@@ -216,6 +217,32 @@ class TestLift:
             lifter(6, 4, 2)
 
 
+class TestColexOrder:
+    """The one index of ≺ against ``precedes``, the definition."""
+
+    @pytest.mark.parametrize(
+        "n, r", [(n, r) for n in range(1, 8) for r in range(1, n + 1)]
+    )
+    def test_index_matches_precedes(self, n, r):
+        elements, position, below, up, down, above = colex_order(n, r)
+        assert elements == sorted(r_subsets(n, r))
+        assert position == {e: i for i, e in enumerate(elements)}
+        size = len(elements)
+        le = [[precedes(a, b) for b in elements] for a in elements]
+        for i in range(size):
+            for j in range(size):
+                # bit j of down[i]: elements[j] ≺ elements[i]
+                assert (down[i] >> j & 1) == le[j][i]
+                assert (above[j] >> i & 1) == (down[i] >> j & 1)
+                covers = le[j][i] and j != i and not any(
+                    le[j][m] and le[m][i] for m in range(size) if m not in (i, j)
+                )
+                assert (below[i] >> j & 1) == covers
+        assert all(0 <= b < 1 << size for b in down + above + below)
+        for j in range(size):
+            assert up[j] == [i for i in range(size) if below[i] >> j & 1]
+
+
 STREAM_GRID = [(5, 1), (5, 2), (6, 2), (7, 2), (8, 2), (6, 3), (7, 3), (6, 4)]
 
 
@@ -374,7 +401,9 @@ class TestEnumerateStable:
     @pytest.mark.parametrize("n, r", STREAM_GRID)
     def test_blockers_asked_at_most_once_per_r_set(self, n, r):
         # the walk keeps each r-set's blocker sets for the whole walk, however
-        # many of the families it reaches ask about that r-set
+        # many of the families it reaches ask about that r-set; it asks
+        # about every r-set once, in colex order, before its first family
+        colex = sorted(r_subsets(n, r))
         rules = [nu_blockers_from_scratch(n, r, 1), nu_blockers_through(n, r, 2)]
         rules += [_conflict_blockers(n, r, seed) for seed in range(2)]
         for blockers in rules:
@@ -384,8 +413,27 @@ class TestEnumerateStable:
                 asked[e] += 1
                 return blockers(e)
 
+            walk = enumerate_stable(n, r, counted)
+            assert not asked
+            next(walk)
+            assert list(asked) == colex and set(asked.values()) == {1}
+            walk.close()
+            asked.clear()
             assert _walk(n, r, counted) == _walk(n, r, blockers)
             assert asked and max(asked.values()) == 1
+            assert list(asked) == colex and set(asked.values()) == {1}
+
+    @pytest.mark.parametrize("n, r", [(4, 2), (5, 2), (5, 3)])
+    def test_repeated_mask_in_a_blocker_set_counts_once(self, n, r):
+        # (x, x) is the set {x}: one r-set y is kept out by x alone.  Summed
+        # as integers, the two bits of x once carried into the next index
+        elements = sorted(r_subsets(n, r))
+        for x in elements:
+            for y in elements:
+                once, twice = ((x,),), ((x, x),)
+                assert _walk(n, r, lambda e: twice if e == y else ()) == _walk(
+                    n, r, lambda e: once if e == y else ()
+                )
 
     def test_maximal_walk_on_the_span_reaches_2761_of_11720_families(self):
         # ν <= 2 on [9] = [r(k+1)], r = 3.  The verifier's rule lets e join

@@ -422,6 +422,18 @@ class TestRainbowCell:
         b = verify_rainbow_cell(8, 3, 2, 3, trials=10, seed=1)
         assert a.to_json_line(omit_timing=True) == b.to_json_line(omit_timing=True)
 
+    @pytest.mark.parametrize("trials", [-1, -5])
+    def test_negative_trials_rejected(self, trials):
+        # trials=-1 once read as a counterexample: 0 expected, 1 counted
+        with pytest.raises(ValueError, match="trials >= 0"):
+            verify_rainbow_cell(8, 2, 2, 2, trials=trials)
+
+    @pytest.mark.parametrize("t", [1, 3, 99])
+    def test_t_outside_r_to_k_plus_r_minus_2_rejected(self, t):
+        # with no trials, t was never checked, and t=99 read as confirmed
+        with pytest.raises(ValueError, match=r"r <= t <= k\+r-2"):
+            verify_rainbow_cell(8, 2, 2, t, trials=0)
+
 
 class TestProposition:
     def test_confirmed_small_cells(self):
