@@ -211,22 +211,15 @@ def _parse_sweep_config(text: str) -> list[tuple[int, int, int, int]]:
         lo, sep, hi = rhs.partition("..")
         specs.append((name, lo.strip(), hi.strip() if sep else lo.strip()))
 
-    def expand(idx: int, binding: dict[str, int], out: list[dict[str, int]]):
-        if idx == len(specs):
-            out.append(dict(binding))
-            return
-        name, lo_expr, hi_expr = specs[idx]
-        lo = _sweep_int(lo_expr, binding)
-        hi = _sweep_int(hi_expr, binding)
-        for val in range(lo, hi + 1):
-            binding[name] = val
-            expand(idx + 1, binding, out)
-        binding.pop(name, None)
-
-    cells_raw: list[dict[str, int]] = []
-    expand(0, {}, cells_raw)
+    bindings: list[dict[str, int]] = [{}]
+    for name, lo_expr, hi_expr in specs:
+        bindings = [
+            {**b, name: val}
+            for b in bindings
+            for val in range(_sweep_int(lo_expr, b), _sweep_int(hi_expr, b) + 1)
+        ]
     cells = []
-    for b in cells_raw:
+    for b in bindings:
         missing = {"n", "k", "r", "s"} - b.keys()
         if missing:
             raise ValueError(f"sweep config must bind n, k, r, s; missing {missing}")

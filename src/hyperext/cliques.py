@@ -1,14 +1,19 @@
 """Exact s-clique enumeration and counting for r-graphs.
 
 An s-clique is an s-vertex set all of whose r-subsets are edges.  One
-walk serves counting, the per-size census and enumeration.  It extends
-partial cliques vertex by vertex in increasing label order; for each
-(r-1)-subset of the host's edges a precomputed extension mask records
-which vertices complete it to an edge, so candidate filtering is a
-handful of bitwise ANDs per step.  The walk counts the cliques of every
-size in a window and hands each clique of the top size to an optional
-visitor: enumeration collects them, per-vertex counting tallies their
-vertices, and plain counting holds none of them.
+walk serves counting, the per-size census and enumeration.  It is a
+depth-first stack of immutable nodes ``(clique, extenders)``: a clique
+and the bit set of the vertices above its top vertex that extend it to
+a larger clique.  Keeping only extenders above the top vertex builds
+each clique once, by adding its vertices in increasing label order.  For
+each (r-1)-subset of the host's edges a precomputed extension mask
+records which vertices complete it to an edge, so a child's extenders
+cost a handful of bitwise ANDs.  The walk counts the cliques of every
+size in a window.  Those of the top size are counted at their parent, as
+the number of its extenders, and get no node of their own; they are
+built one at a time only for an optional visitor: enumeration collects
+them, per-vertex counting tallies their vertices, and plain counting
+holds none of them.
 """
 
 from __future__ import annotations
@@ -47,47 +52,45 @@ def _walk(
 ) -> dict[int, int]:
     """Number of cliques of each size lo..hi; ``visit(mask)`` on each of size hi.
 
-    Every partial set visited at depth >= r is itself a clique, because a
-    vertex only enters the candidate mask after all (r-1)-subsets through
-    it have been checked against the extension table.  A branch is cut
-    once its depth plus its remaining candidates fall below ``lo``.
+    A node ``(clique, extenders)`` is a clique of size below ``hi`` and
+    the vertices above its top vertex that extend it.  A vertex w above v
+    extends ``clique | v`` iff it extends the clique and completes each
+    (r-1)-set S + v, for S an (r-2)-subset of the clique.  So the child
+    that adds the extender v keeps the extenders above v that lie in
+    every ``ext[S | v]``.  The (r-2)-subsets are built once per node, and
+    only at nodes with extenders.  A node of size ``hi - 1`` counts its
+    extenders as the cliques of size ``hi`` and pushes no child.  A node
+    is cut once its size plus its extenders fall below ``lo``.
     """
     r = h.r
     counts = dict.fromkeys(range(lo, hi + 1), 0)
     if lo > h.n or not h.edges:
         return counts
     ext = _extension_table(h)
-    full = h.full_mask
-    chosen: list[int] = []
-
-    def walk(mask: int, cand: int, above: int) -> None:
-        m = len(chosen)
+    stack = [(0, ext.get(0, 0) if r == 1 else h.full_mask)]
+    while stack:
+        clique, extenders = stack.pop()
+        m = clique.bit_count()
         if m >= lo:
             counts[m] += 1
-            if m == hi:
-                if visit is not None:
-                    visit(mask)
-                return
-        pool = cand & above
-        if m + pool.bit_count() < lo:
-            return
-        for v in iter_bits(pool):
+        if m + 1 == hi:
+            counts[hi] += extenders.bit_count()
+            if visit is not None:
+                for v in iter_bits(extenders):
+                    visit(clique | 1 << v)
+            continue
+        if not extenders or m + extenders.bit_count() < lo:
+            continue
+        bits = [1 << v for v in iter_bits(clique)]
+        subsets = [sum(sub) for sub in combinations(bits, r - 2)] if r > 1 else []
+        for v in iter_bits(extenders):
             vbit = 1 << v
-            new_cand = cand
-            if r > 1 and m + 1 >= r - 1:
-                for tup in combinations(chosen, r - 2):
-                    t = vbit
-                    for b in tup:
-                        t |= 1 << b
-                    new_cand &= ext.get(t, 0)
-                    if not new_cand:
-                        break
-            chosen.append(v)
-            walk(mask | vbit, new_cand, full & ~((vbit << 1) - 1))
-            chosen.pop()
-
-    walk(0, ext.get(0, 0) if r == 1 else full, full)
-    del walk  # the closure refers to itself; unlink it for refcounting
+            cand = extenders & -(vbit << 1)  # the extenders above v
+            for sub in subsets:
+                cand &= ext.get(sub | vbit, 0)
+                if not cand:
+                    break
+            stack.append((clique | vbit, cand))
     return counts
 
 

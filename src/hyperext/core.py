@@ -173,9 +173,6 @@ class Hypergraph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def has_edge(self, mask: int) -> bool:
-        return mask in self.edge_set
-
     def edge_labels(self) -> list[tuple[int, ...]]:
         return [labels_from_mask(e) for e in self.edges]
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from hyperext.cli import _parse_sweep_config, main
-from hyperext.core import serialize
+from hyperext.core import Hypergraph, serialize
 from hyperext.extremal import build_extremal_family
 
 
@@ -54,6 +54,14 @@ class TestCount:
         assert obj["schema"] == "hyperext/1"
         assert obj["total"] == "1"
         assert obj["per_vertex"] == {"1": "1", "2": "1", "3": "1"}
+
+    def test_clique_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        n = sys.getrecursionlimit() + 100
+        f = tmp_path / "h.hg"
+        f.write_text(serialize(Hypergraph.complete(n, 1)))
+        code, out, _ = run(capsys, "count", "--s", str(n), str(f))
+        assert code == 0
+        assert out == "1\n"
 
     def test_stdin_dash(self, capsys, monkeypatch):
         import io

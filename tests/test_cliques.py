@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -159,3 +160,11 @@ class TestOneWalk:
                 v: sum(c >> (v - 1) & 1 for c in found) for v in range(1, h.n + 1)
             }
             assert sum(cc.per_vertex.values()) == s * cc.total
+
+    def test_clique_deeper_than_the_recursion_limit(self):
+        # r = 1: the only n-clique is [n]; the walk goes n - 1 nodes deep
+        # and counts [n] at the last of them
+        n = sys.getrecursionlimit() + 100
+        h = Hypergraph.complete(n, 1)
+        assert count_cliques(h, n).total == 1
+        assert list(enumerate_cliques(h, n)) == [h.full_mask]
