@@ -32,7 +32,7 @@ class Budget:
     the stable-family walk per family it reaches (its ν test runs no
     search), the ν search per search node, as when the verifier
     re-checks a witness or ``hyperext nu`` runs, and the regime-III
-    descent per family it counts.  ``limit`` (None for none, else at
+    descent per family it values.  ``limit`` (None for none, else at
     least 1) is the number of nodes all of them may take together; the
     next one raises ``BudgetExceededError``.
     """

@@ -13,6 +13,18 @@ patterns carried onto the span, so the walk runs no ν search.  Both
 hand one ``core.Budget`` to the walk and the regime-III descent; the
 extremal cell also re-checks ν of its witness with a search from that
 budget.
+
+Every family the extremal cell values is a downset of ≺, and there the
+cliques need no walk.  An s-set of a downset F is a clique iff its top
+r vertices form an edge e: the i-th vertex of any r-subset of the s-set
+is at most the i-th of e, so every r-subset lies below e in ≺ and is an
+edge.  The cliques with top r vertices e pick their other s - r
+vertices below min(e), so K_s(F) is the sum over e in F of
+C(min(e) - 1, s - r) (``_clique_weight``).  The regime-III descent
+takes a ≺-maximal edge m from a downset, so it subtracts the weight of
+m.  ``cliques.count_cliques``, the walk for any host, runs once per
+cell: it re-counts the witness, and a count that differs from the sum
+is a broken invariant.
 """
 
 from __future__ import annotations
@@ -22,6 +34,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 from .cliques import count_cliques, enumerate_cliques
@@ -155,20 +168,31 @@ def stable_with_matching_at_most(
     return (ext(g) for g in walk)
 
 
-def _descend(
-    h: Hypergraph, s: int, bound: int, seen: set[tuple[int, ...]], budget: Budget
-) -> tuple[int, int]:
-    """Count K_s^r on every removal of one maximal edge from ``h``, and
-    onward from each such child still at or above ``bound``.
+def _clique_weight(e: int, r: int, s: int) -> int:
+    """C(min(e) - 1, s - r): the s-cliques of a downset holding the edge
+    ``e`` whose top r vertices are ``e``."""
+    return comb((e & -e).bit_length() - 1, s - r)
 
-    Returns the largest value below ``bound`` met (0 if none) and the
-    number of families counted.  Families in ``seen`` are skipped, and
-    every family counted is added to it and spends one node of ``budget``.
+
+def _descend(
+    h: Hypergraph,
+    value: int,
+    s: int,
+    bound: int,
+    seen: set[tuple[int, ...]],
+    budget: Budget,
+) -> Iterator[tuple[Hypergraph, int]]:
+    """Yield every removal of one maximal edge from the downset ``h``,
+    whose K_s^r is ``value``, with its K_s^r, and onward from each such
+    child still at or above ``bound``.
+
+    A child D - {m} is again a downset, so its value is that of D less
+    ``_clique_weight(m)``.  Families in ``seen`` are skipped, and every
+    family yielded is added to it and spends one node of ``budget``.
     """
-    best = counted = 0
-    stack = [h]
+    stack = [(h, value)]
     while stack:
-        top = stack.pop()
+        top, top_value = stack.pop()
         for m in maximal_edges(top):
             child = Hypergraph._make(
                 top.n, top.r, tuple([e for e in top.edges if e != m])
@@ -177,13 +201,10 @@ def _descend(
                 continue
             seen.add(child.edges)
             budget.spend()
-            counted += 1
-            val = count_cliques(child, s).total
-            if val < bound:
-                best = max(best, val)
-            else:
-                stack.append(child)
-    return best, counted
+            val = top_value - _clique_weight(m, top.r, s)
+            yield child, val
+            if val >= bound:
+                stack.append((child, val))
 
 
 def verify_extremal_cell(
@@ -198,7 +219,12 @@ def verify_extremal_cell(
 
     K_s^r only grows when edges are added and ν <= k survives their
     removal, so the maximum is attained on a ⊆-maximal stable family with
-    ν <= k; cliques are counted only there.
+    ν <= k; cliques are counted only there.  Such a family F is a
+    downset of ≺, so an s-set is a clique iff its top r vertices form an
+    edge: the i-th vertex of any r-subset of the s-set is at most the
+    i-th of its top r, so every r-subset lies below that edge in ≺.  So
+    K_s^r(F) is the sum over the edges e of F of C(min(e) - 1, s - r),
+    one binomial per edge and no clique walk.
 
     In regime III the second-maximum gap is verified as well: a gap
     violation is reported as a counterexample.  The second best is the
@@ -215,20 +241,24 @@ def verify_extremal_cell(
     maximal edge, onward from each child still at or above the bound,
     and takes the values of the children below it: it meets that first
     member.  One step, D - {m}, is not enough where D - {m} still
-    attains the bound.
+    attains the bound.  Each child D - {m} is a downset whose s-cliques
+    are those of D less the ones with top r vertices m, so its value is
+    that of D less C(min(m) - 1, s - r).
 
     When n >= max(r, ak+a-1), the extremal family of the regime is itself
     stable with ν <= k, so the maximum is at least the bound; a smaller
     maximum means the search is broken and is reported as
     ``invariant-broken``, never as a verdict.  So is a witness that
     fails a fresh ``has_matching_at_most(witness, k)``, a search: the
-    walk's pattern table and prune are not asked.
+    walk's pattern table and prune are not asked.  So is a witness
+    whose ``count_cliques``, a clique walk that does not assume a
+    downset and the one it runs per cell, differs from its sum.
 
     ``budget`` covers the walk, one node per family it reaches, the
-    descent, one node per family counted, and the witness's ν re-check,
-    one per search node; clique counts run on families already charged.
-    The walk's share does not depend on n >= r(k+1); the re-check and
-    the descent run on [n].
+    descent, one node per family valued, and the witness's ν re-check,
+    one per search node; the sums and the witness's clique walk spend
+    none.  The walk's share does not depend on n >= r(k+1); the
+    re-check and the descent run on [n].
     """
     start = time.monotonic()
     params = ExtremalParams(n=n, k=k, r=r, s=s)
@@ -242,20 +272,24 @@ def verify_extremal_cell(
     budget = budget or Budget()
     for h in stable_with_matching_at_most(n, r, k, budget=budget):
         nodes += 1
-        val = count_cliques(h, s).total
+        val = sum([_clique_weight(e, r, s) for e in h.edges])
         if val > observed:
             observed = val
             witness = h
         if val < bound:
             second_best = max(second_best, val)
         elif regime == "III":
-            below, counted = _descend(h, s, bound, descended, budget)
-            second_best = max(second_best, below)
-            nodes += counted
+            for _, below in _descend(h, val, s, bound, descended, budget):
+                nodes += 1
+                if below < bound:
+                    second_best = max(second_best, below)
 
     a = params.level
     past_threshold = reaches_regime_threshold(params)
-    if witness is not None and not has_matching_at_most(witness, k, budget):
+    if witness is not None and (
+        not has_matching_at_most(witness, k, budget)
+        or count_cliques(witness, s).total != observed
+    ):
         status = INVARIANT_BROKEN
     elif n >= max(r, a * k + a - 1) and observed < bound:
         status = INVARIANT_BROKEN

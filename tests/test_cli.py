@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from math import comb
 
 import pytest
 
@@ -235,6 +236,29 @@ class TestVerify:
         assert "invariant-broken" in out
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("r=2, k=1, s=2, n=5..6\n")
+        code, out, _ = run(capsys, "verify", "sweep", "--config", str(cfg))
+        assert code == 4
+        assert [json.loads(l)["status"] for l in out.splitlines()] == [
+            "invariant-broken"
+        ] * 2
+
+    def test_clique_recount_mismatch_exits_4(self, capsys, monkeypatch, tmp_path):
+        from hyperext import verifier
+
+        # an off-by-one weight, C(min(e), s - r): the witness's clique walk
+        # disagrees with the summed weights
+        monkeypatch.setattr(
+            verifier,
+            "_clique_weight",
+            lambda e, r, s: comb((e & -e).bit_length(), s - r),
+        )
+        code, out, _ = run(
+            capsys, "verify", "extremal", "--n", "6", "--k", "1", "--r", "2", "--s", "3"
+        )
+        assert code == 4
+        assert "invariant-broken" in out
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("r=2, k=1, s=3, n=5..6\n")
         code, out, _ = run(capsys, "verify", "sweep", "--config", str(cfg))
         assert code == 4
         assert [json.loads(l)["status"] for l in out.splitlines()] == [

@@ -5,6 +5,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 from mpmath import mp
 
 from conftest import (
@@ -13,13 +14,14 @@ from conftest import (
     avoiding,
     clique_edges,
     every_graph_cell,
+    hosts,
     naive_matching_number,
     naive_stable_families,
     nu_at_most_from_scratch,
     prop32_families,
 )
 from hyperext import verifier
-from hyperext.cliques import CliqueCount, count_cliques
+from hyperext.cliques import count_cliques
 from hyperext.extremal import (
     ExtremalParams,
     binom,
@@ -43,6 +45,7 @@ from hyperext.shifting import (
     enumerate_stable,
     is_stable,
     precedes,
+    stabilize,
     stable_closure_check,
 )
 from hyperext.verifier import (
@@ -234,6 +237,96 @@ class TestExtremalCell:
         assert obj["millis"] == 0
 
 
+def _top_r_count(h: Hypergraph, s: int) -> int:
+    return sum(verifier._clique_weight(e, h.r, s) for e in h.edges)
+
+
+class TestTopRCount:
+    """K_s of a downset as one binomial per edge, against the clique walk."""
+
+    def test_every_maximal_family_of_six_columns(self):
+        pairs = 0
+        for n, k, r in [
+            (9, 2, 3), (8, 1, 4), (14, 5, 2), (10, 1, 3), (12, 3, 2), (7, 1, 3)
+        ]:
+            for h in stable_with_matching_at_most(n, r, k):
+                for s in range(r, n + 1):
+                    assert _top_r_count(h, s) == count_cliques(h, s).total, (h, s)
+                    pairs += 1
+        assert pairs == 1036
+
+    @settings(max_examples=150, deadline=None)
+    @given(hosts())
+    @example(Hypergraph(5, 2, ()))
+    @example(Hypergraph.complete(7, 3))
+    def test_every_stabilized_host(self, h):
+        g = stabilize(h).result
+        for s in range(g.r, g.n + 2):
+            assert _top_r_count(g, s) == count_cliques(g, s).total, s
+
+    @pytest.mark.parametrize("n, r, k", [(7, 3, 1), (7, 2, 2), (8, 3, 1)])
+    def test_descent_to_every_downset_below_the_maximal_families(self, n, r, k):
+        # a bound of 0 keeps every child on the stack, so the descent
+        # values each downset below a maximal family once
+        pred = nu_at_most_from_scratch(k)
+        below = {h.edges for h in naive_stable_families(n, r, pred)} - {
+            h.edges for h in naive_stable_families(n, r, pred, maximal=True)
+        }
+        for s in range(r, n + 1):
+            seen = set()
+            for h in stable_with_matching_at_most(n, r, k):
+                value = count_cliques(h, s).total
+                for child, val in verifier._descend(h, value, s, 0, seen, Budget()):
+                    assert val == count_cliques(child, s).total, (child, s)
+            assert seen == below
+
+    def test_descent_on_the_regime_iii_cells_of_the_sweep_grid(self, monkeypatch):
+        # the benchmark's sweep grid: r=3, k=1, s=3..5, n=max(s, 6)..14
+        descend = verifier._descend
+        checked = []
+
+        def spy(h, value, s, *rest):
+            assert value == count_cliques(h, s).total
+            for child, val in descend(h, value, s, *rest):
+                assert val == count_cliques(child, s).total, (child, s)
+                checked.append(child)
+                yield child, val
+
+        monkeypatch.setattr(verifier, "_descend", spy)
+        cells = [(n, 1, 3, s) for s in range(3, 6) for n in range(max(s, 6), 15)]
+        regime_iii = [c for c in cells if verify_extremal_cell(*c).regime == "III"]
+        assert regime_iii == [(n, 1, 3, 5) for n in range(6, 15)]
+        assert len(checked) == 9
+
+    def test_the_clique_walk_runs_once_on_the_witness(self, monkeypatch):
+        counted = []
+
+        def spy(h, s):
+            counted.append(h)
+            return count_cliques(h, s)
+
+        monkeypatch.setattr(verifier, "count_cliques", spy)
+        rep = verify_extremal_cell(9, 2, 3, 5)
+        assert rep.nodes == 68 and rep.status == BOUND_NOT_YET_ACTIVE
+        assert counted == [rep.witness]
+
+    @pytest.mark.parametrize("cell", [(6, 1, 2, 3), (8, 1, 3, 5), (4, 2, 2, 5)])
+    def test_witness_whose_clique_recount_differs_is_reported(
+        self, monkeypatch, cell
+    ):
+        # an off-by-one weight, C(min(e), s - r): the witness's clique walk
+        # disagrees with the sum, in regime III and below the span alike
+        good = verify_extremal_cell(*cell)
+        monkeypatch.setattr(
+            verifier,
+            "_clique_weight",
+            lambda e, r, s: comb((e & -e).bit_length(), s - r),
+        )
+        rep = verify_extremal_cell(*cell)
+        assert rep.observed_max > good.observed_max
+        assert rep.status == INVARIANT_BROKEN != good.status
+
+
 def _assert_budget_needed(verify, cell, need):
     """``verify(*cell)`` passes with a budget of ``need`` nodes, with the
     report it gives unbudgeted, and raises with one node less."""
@@ -282,9 +375,7 @@ class TestMaximalOnlySearch:
     def test_second_best_descends_past_families_at_the_bound(self, monkeypatch):
         # valued by edge count, no single removal takes a maximal family
         # with nu <= 2 on [7] from the top down to below the bound of 5
-        monkeypatch.setattr(
-            verifier, "count_cliques", lambda h, s: CliqueCount(s, len(h.edges))
-        )
+        monkeypatch.setattr(verifier, "_clique_weight", lambda e, r, s: 1)
         rep = verify_extremal_cell(7, 2, 2, 4)
         assert rep.regime == "III" and rep.claimed_bound == 5
         sizes = [
