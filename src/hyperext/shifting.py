@@ -24,12 +24,13 @@ subtree that holds no maximal family and spends one node of its
 order and the proof.
 
 ``lift(g, n)`` extends a stable family g on [t] to the largest stable
-family on [n] whose trace on [t] is g, in one colex pass over the
-r-sets that leave [t]; ``lifter(t, n, r)`` lists those r-sets once for
-many families.  A property closed under sub-downsets that depends only
-on the trace on [t], such as ν <= k for t = r(k+1), has its maximal
-families on [n] exactly the lifts of those on [t]; the verifier walks
-[t] alone for that reason.
+family on [n] whose trace on [t] is g: an r-set e of [n] is in it iff
+``project(e, t)``, the r-set of [t] whose i-th vertex is
+min(e_i, t - r + i), is in g.  ``lifter(t, n, r)`` lists the r-sets
+that leave [t] and their images once for many families.  A property
+closed under sub-downsets that depends only on the trace on [t], such
+as ν <= k for t = r(k+1), has its maximal families on [n] exactly the
+lifts of those on [t]; the verifier walks [t] alone for that reason.
 """
 
 from __future__ import annotations
@@ -190,22 +191,44 @@ def colex_order(
     return elements, position, below, up, down, above
 
 
+def project(e: int, t: int) -> int:
+    """π_t(e): the r-set of [t] whose i-th vertex is min(e_i, t - r + i),
+    for an r-set ``e`` with r <= t.
+
+    The vertices it lowers are a top block of e: if e_i > t - r + i,
+    then e_{i+1} >= e_i + 1 > t - r + i + 1.  If j of them are lowered,
+    they become t-j+1..t and the rest are at most t - j, so j is the
+    least j >= 0 with at most j vertices of e above t - j.
+    """
+    j = 0
+    while (e >> (t - j)).bit_count() > j:
+        j += 1
+    low = (1 << (t - j)) - 1
+    return (e & low) | ((1 << t) - 1 - low)
+
+
 def lifter(t: int, n: int, r: int) -> Callable[[Hypergraph], Hypergraph]:
     """ext_n on the stable r-graphs on [t], t <= n: ``lifter(t, n, r)(g)``
-    is ``lift(g, n)``.  The r-sets that leave [t] and their covers are
-    listed once, for every family lifted."""
+    is ``lift(g, n)``.
+
+    An r-set e of [n] is in ext_n(g) iff π_t(e) (``project``) is in g.
+    π keeps ≺, since each coordinate min(e_i, t - r + i) grows with
+    e_i; π(e) ≺ e; and π is the identity on the r-sets of [t], whose
+    i-th vertex is at most t - r + i.  So {e : π(e) ∈ g} is a downset,
+    as g is one, with trace g on [t], and it holds every downset F with
+    that trace: for e in F, π(e) ≺ e lies in F and inside [t], so in g.
+    The r-sets that leave [t] and their images are listed once, for
+    every family lifted.
+    """
     if n < t:
         raise ValueError(f"need t <= n, got t={t}, n={n}")
-    leaving = [(e, _covers(e)) for e in sorted(r_subsets(n, r)) if e >> t]
+    leaving = [(e, project(e, t)) for e in sorted(r_subsets(n, r)) if e >> t]
 
     def ext(g: Hypergraph) -> Hypergraph:
-        edges = list(g.edges)
-        present = set(edges)
-        for e, covers in leaving:
-            if all(c in present for c in covers):
-                edges.append(e)
-                present.add(e)
-        return Hypergraph._make(n, r, tuple(edges))
+        present = g.edge_set
+        return Hypergraph._make(
+            n, r, g.edges + tuple([e for e, f in leaving if f in present])
+        )
 
     return ext
 
@@ -214,12 +237,10 @@ def lift(g: Hypergraph, n: int) -> Hypergraph:
     """ext_n(g): the largest downset on [n] whose trace on [g.n] is ``g``.
 
     ``g`` is stable on [t], t = g.n <= n, else ``ValueError``: a family
-    on fewer vertices cannot hold g's edges.  An r-set inside [t] is in
-    ext_n(g) iff it is in ``g``; any other r-set is in it iff all its
-    covers are.  Covers precede an r-set in colex order, and every r-set
-    inside [t] precedes every one that leaves [t], so one ascending pass
-    decides each r-set from those before it, and the edges come out in
-    colex order.
+    on fewer vertices cannot hold g's edges.  An r-set is in ext_n(g)
+    iff its image under ``project`` is in ``g`` (``lifter`` says why).
+    Every r-set inside [t] precedes every one that leaves [t] in colex
+    order, so the edges come out in colex order.
     """
     return lifter(g.n, n, g.r)(g)
 

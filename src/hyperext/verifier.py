@@ -25,6 +25,22 @@ takes a ≺-maximal edge m from a downset, so it subtracts the weight of
 m.  ``cliques.count_cliques``, the walk for any host, runs once per
 cell: it re-counts the witness, and a count that differs from the sum
 is a broken invariant.
+
+A sweep's unit of work is the (k, r) column, not the cell: every cell
+with n >= t = r(k+1) reads the same walk on [t], and ``_column_pass``
+runs it once for all of them.  Let π(e), for an r-set e of [n], be the
+r-set of [t] whose i-th vertex is min(e_i, t - r + i)
+(``shifting.project``).  Then e lies in ext_n(G), the lift of a
+maximal family G on [t], iff π(e) lies in G.  Each coordinate of π
+grows with e_i, so π keeps ≺; π(e) ≺ e; and π fixes the r-sets of
+[t].  So {e : π(e) ∈ G} is a downset with trace G, hence inside
+ext_n(G), and a downset F with trace G holds π(e) for each e in F, an
+r-set of [t] and so one of G.  So K_s(ext_n(G)) is the sum over f in G
+of c_{n,s}(f) = Σ_{π(e)=f} C(min(e) - 1, s - r), a table on [t] that
+each cell builds once, and a family is lifted only to be a witness or
+to start a regime-III descent.  ``verify_extremal_cell`` is the pass on
+a column of one cell; a column's cells with n < t each take the
+complete r-graph, as ``stable_with_matching_at_most`` says.
 """
 
 from __future__ import annotations
@@ -32,13 +48,12 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .cliques import count_cliques, enumerate_cliques
-from .core import Budget, ColoredFamily, Hypergraph, iter_bits, serialize
+from .core import Budget, ColoredFamily, Hypergraph, iter_bits, r_subsets, serialize
 from .extremal import (
     ExtremalParams,
     build_extremal_family,
@@ -52,7 +67,7 @@ from .matchings import (
     perfect_matching_patterns,
 )
 from .randgen import random_family_above_edge_threshold
-from .shifting import enumerate_stable, lifter, maximal_edges
+from .shifting import enumerate_stable, lifter, maximal_edges, project
 
 CONFIRMED = "confirmed"
 BOUND_NOT_YET_ACTIVE = "bound-not-yet-active"
@@ -123,14 +138,18 @@ def stable_with_matching_at_most(
       would with one.
 
       For n > t the maximal families on [n] are the lifts ext_n(G) of
-      the maximal families G on [t] (``shifting.lift``).  ext_n(G) is a
-      downset with trace G on [t], so ν <= k, and it is maximal: an
-      r-set that could join it either lies inside [t], where G is
-      maximal, or has its covers in it and so is in it already.  A
-      maximal F on [n] has a maximal trace G (an r-set that could join
-      the trace could join F), and F ⊆ ext_n(G), so F = ext_n(G).  All
-      r-sets inside [t] come first in colex order, so the stream order
-      is that of the walk on [n].
+      the maximal families G on [t] (``shifting.lift``): ext_n(G) holds
+      the r-sets e of [n] whose image π(e), the r-set of [t] whose i-th
+      vertex is min(e_i, t - r + i), lies in G.  π keeps ≺, π(e) ≺ e
+      and π fixes the r-sets of [t], so that set is a downset with trace
+      G, and every downset with trace G lies in it (``shifting.lifter``
+      gives the proof).  ext_n(G) has ν <= k, its trace on [t] being G,
+      and it is maximal: an r-set e that could join it has π(e) ≺ e in
+      it, so π(e) ∈ G and e is in it already.  A maximal F on [n] has a
+      maximal trace G (an r-set that could join the trace could join
+      F), and F ⊆ ext_n(G), so F = ext_n(G).  All r-sets inside [t]
+      come first in colex order, so the stream order is that of the
+      walk on [n].
     - n < t: no r-graph on [n] has t disjoint vertices to hold k+1
       disjoint edges, so the complete r-graph is the one maximal family,
       and it is yielded alone.
@@ -139,8 +158,9 @@ def stable_with_matching_at_most(
     reaches, maximal or not.  The ν test runs no search, and the lift
     runs once per family the walk has charged, so neither is charged,
     and the budget the walk needs does not depend on n >= t.  For n < t
-    the complete r-graph costs one node.  The r-sets that leave [t] are
-    listed once per call, for every lift (``shifting.lifter``).  k >= 0.
+    the complete r-graph costs one node.  The r-sets that leave [t] and
+    their images are listed once per call, for every lift
+    (``shifting.lifter``).  k >= 0.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
@@ -259,61 +279,139 @@ def verify_extremal_cell(
     one per search node; the sums and the witness's clique walk spend
     none.  The walk's share does not depend on n >= r(k+1); the
     re-check and the descent run on [n].
+
+    This is the one-cell case of ``_column_pass``, the pass a sweep runs
+    once per (k, r) column: the walk, the sums, the descent and the
+    re-checks are those of a column of one cell.
+    """
+    return _column_pass([_Cell(n, k, r, s)], budget)[0]
+
+
+class _Cell:
+    """One cell of a column pass: its bound, then what the pass found.
+
+    It is made before the pass, so a cell whose parameters raise does so
+    before any walk.  The pass gives it ``table``, its c_{n,s} on the
+    span (``_span_weights``), and ``lift``, ext_n on the span.  ``best``
+    is the first family on the span whose lift attains ``observed``, and
+    ``descended`` holds the families the regime-III descent has valued.
+    """
+
+    def __init__(self, n: int, k: int, r: int, s: int):
+        self.params = ExtremalParams(n=n, k=k, r=r, s=s)
+        self.bound, self.regime, self.gap = theorem_bound(self.params)
+        self.table: dict[int, int] = {}
+        self.lift = None
+        self.observed = -1
+        self.best: Hypergraph | None = None
+        self.second_best = 0
+        self.nodes = 0
+        self.descended: set[tuple[int, ...]] = set()
+
+    def count(self, g: Hypergraph, budget: Budget) -> None:
+        """Value the lift of the maximal family ``g`` on the span by the
+        table; in regime III descend from the lift if the value is at
+        or above the bound."""
+        val = sum([self.table[f] for f in g.edges])
+        self.nodes += 1
+        if val > self.observed:
+            self.observed = val
+            self.best = g
+        if val < self.bound:
+            self.second_best = max(self.second_best, val)
+        elif self.regime == "III":
+            s = self.params.s
+            for _, below in _descend(
+                self.lift(g), val, s, self.bound, self.descended, budget
+            ):
+                self.nodes += 1
+                if below < self.bound:
+                    self.second_best = max(self.second_best, below)
+
+    def report(self, budget: Budget, start: float) -> VerificationReport:
+        """The verdict once every family is counted, the witness being
+        the lift of ``best``; ``millis`` runs from ``start``."""
+        params = self.params
+        n, k, r, s = params.n, params.k, params.r, params.s
+        a = params.level
+        past_threshold = reaches_regime_threshold(params)
+        observed, bound = self.observed, self.bound
+        witness = None if self.best is None else self.lift(self.best)
+        if witness is not None and (
+            not has_matching_at_most(witness, k, budget)
+            or count_cliques(witness, s).total != observed
+        ):
+            status = INVARIANT_BROKEN
+        elif n >= max(r, a * k + a - 1) and observed < bound:
+            status = INVARIANT_BROKEN
+        elif self.regime == "III" and past_threshold and self.second_best > self.gap:
+            status = COUNTEREXAMPLE
+        elif observed == bound:
+            status = CONFIRMED
+        elif observed > bound:
+            status = COUNTEREXAMPLE if past_threshold else BOUND_NOT_YET_ACTIVE
+        else:
+            status = BOUND_NOT_YET_ACTIVE
+        return VerificationReport(
+            cell={"n": n, "k": k, "r": r, "s": s},
+            regime=self.regime,
+            claimed_bound=bound,
+            observed_max=observed,
+            witness=witness,
+            status=status,
+            nodes=self.nodes,
+            millis=int((time.monotonic() - start) * 1000),
+            second_best=self.second_best if self.regime == "III" else None,
+        )
+
+
+def _span_weights(
+    images: list[tuple[int, int]], r: int, s: int
+) -> dict[int, int]:
+    """c_{n,s}(f) = Σ C(min(e) - 1, s - r) over the r-sets e of [n] with
+    π(e) = f, for each r-set f of the span, from the pairs (e, π(e))."""
+    table: dict[int, int] = {}
+    for e, f in images:
+        table[f] = table.get(f, 0) + _clique_weight(e, r, s)
+    return table
+
+
+def _column_pass(
+    cells: list[_Cell], budget: Budget | None = None
+) -> list[VerificationReport]:
+    """The reports on ``cells``, which share (k, r), in their order.
+
+    Each span min(n, r(k+1)) is walked once for all its cells
+    (``stable_with_matching_at_most``).  A cell values a family G on its
+    span by its table: K_s^r(ext_n(G)) = Σ_{f∈G} c_{n,s}(f)
+    (``_span_weights``), since the edges of ext_n(G) are the r-sets e of
+    [n] with π(e) in G (``shifting.lifter``).  Each n lists its pairs
+    (e, π(e)) once, in one pass over the r-sets of [n], and each cell
+    sums its table from them.  Only the witnesses and the families the
+    regime-III descent starts from are lifted to [n].  ``budget`` is
+    spent as in ``verify_extremal_cell``, each walk once for all its
+    cells, and every report's ``millis`` runs from the pass's start.
     """
     start = time.monotonic()
-    params = ExtremalParams(n=n, k=k, r=r, s=s)
-    bound, regime, gap_bound = theorem_bound(params)
-
-    observed = -1
-    witness: Hypergraph | None = None
-    second_best = 0
-    nodes = 0
-    descended: set[tuple[int, ...]] = set()
     budget = budget or Budget()
-    for h in stable_with_matching_at_most(n, r, k, budget=budget):
-        nodes += 1
-        val = sum([_clique_weight(e, r, s) for e in h.edges])
-        if val > observed:
-            observed = val
-            witness = h
-        if val < bound:
-            second_best = max(second_best, val)
-        elif regime == "III":
-            for _, below in _descend(h, val, s, bound, descended, budget):
-                nodes += 1
-                if below < bound:
-                    second_best = max(second_best, below)
-
-    a = params.level
-    past_threshold = reaches_regime_threshold(params)
-    if witness is not None and (
-        not has_matching_at_most(witness, k, budget)
-        or count_cliques(witness, s).total != observed
-    ):
-        status = INVARIANT_BROKEN
-    elif n >= max(r, a * k + a - 1) and observed < bound:
-        status = INVARIANT_BROKEN
-    elif regime == "III" and past_threshold and second_best > gap_bound:
-        status = COUNTEREXAMPLE
-    elif observed == bound:
-        status = CONFIRMED
-    elif observed > bound:
-        status = COUNTEREXAMPLE if past_threshold else BOUND_NOT_YET_ACTIVE
-    else:
-        status = BOUND_NOT_YET_ACTIVE
-
-    millis = int((time.monotonic() - start) * 1000)
-    return VerificationReport(
-        cell={"n": n, "k": k, "r": r, "s": s},
-        regime=regime,
-        claimed_bound=bound,
-        observed_max=observed,
-        witness=witness,
-        status=status,
-        nodes=nodes,
-        millis=millis,
-        second_best=second_best if regime == "III" else None,
-    )
+    k, r = cells[0].params.k, cells[0].params.r
+    t = r * (k + 1)
+    per_n: dict[int, tuple] = {}
+    spans: dict[int, list[_Cell]] = {}
+    for cell in cells:
+        n = cell.params.n
+        span = min(n, t)
+        if n not in per_n:
+            images = [(e, project(e, span)) for e in r_subsets(n, r)]
+            per_n[n] = images, lifter(span, n, r)
+        images, cell.lift = per_n[n]
+        cell.table = _span_weights(images, r, cell.params.s)
+        spans.setdefault(span, []).append(cell)
+    for span, group in spans.items():
+        for g in stable_with_matching_at_most(span, r, k, budget=budget):
+            for cell in group:
+                cell.count(g, budget)
+    return [cell.report(budget, start) for cell in cells]
 
 
 def verify_rainbow_cell(
@@ -413,28 +511,56 @@ def verify_proposition_3_2(
     )
 
 
-def _cell_worker(cell: tuple[int, int, int, int]) -> VerificationReport:
-    n, k, r, s = cell
-    return verify_extremal_cell(n, k, r, s)
-
-
 def run_extremal_sweep(
     cells: list[tuple[int, int, int, int]], jobs: int = 1
 ) -> Iterator[VerificationReport]:
-    """Run independent cells in ``jobs`` >= 1 processes.  ``jobs`` is
-    checked at the call; the iterator returned yields the reports in
-    cell-key order, each once it and the cells before it are done,
-    regardless of completion order.  A cell that raises ends it there."""
+    """Run the cells (n, k, r, s) one (k, r) column at a time, each column
+    in one pass (``_column_pass``), over min(``jobs``, columns) processes,
+    in-process when that is 1.  ``jobs`` >= 1 is checked at the call; the
+    iterator returned yields the reports in cell-key order, each once its
+    column is done.  A cell that raises ends it there."""
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    ordered = sorted(set(cells))
-    if jobs == 1:
-        return map(_cell_worker, ordered)
-    return _pooled(ordered, jobs)
+    return _sweep(sorted(set(cells)), jobs)
+
+
+def _sweep(
+    ordered: list[tuple[int, int, int, int]], jobs: int
+) -> Iterator[VerificationReport]:
+    """The reports on the sorted distinct cells ``ordered`` up to the
+    first whose parameters raise, then that cell's error."""
+    failure = None
+    columns: dict[tuple[int, int], list[_Cell]] = {}
+    for i, (n, k, r, s) in enumerate(ordered):
+        try:
+            cell = _Cell(n, k, r, s)
+        except ValueError as exc:
+            failure, ordered = exc, ordered[:i]
+            break
+        columns.setdefault((k, r), []).append(cell)
+    workers = min(jobs, len(columns))
+    passes = (
+        _pooled(columns.values(), workers)
+        if workers > 1
+        else map(_column_pass, columns.values())
+    )
+    # columns come in the order of their first cells, so each is taken
+    # when the stream first needs one of its reports
+    done: dict[tuple[int, int, int, int], VerificationReport] = {}
+    for key in ordered:
+        while key not in done:
+            for report in next(passes):
+                c = report.cell
+                done[c["n"], c["k"], c["r"], c["s"]] = report
+        yield done.pop(key)
+    if failure is not None:
+        raise failure
 
 
 def _pooled(
-    cells: list[tuple[int, int, int, int]], jobs: int
-) -> Iterator[VerificationReport]:
+    columns: Iterable[list[_Cell]], jobs: int
+) -> Iterator[list[VerificationReport]]:
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(_cell_worker, cells)
+        yield from pool.map(_column_pass, columns)

@@ -149,6 +149,32 @@ def naive_stable_families(n: int, r: int, predicate=None, maximal=False):
     yield from walk(0)
 
 
+def lift_by_covers(g: Hypergraph, n: int) -> Hypergraph:
+    """ext_n(g), the largest downset on [n] whose trace on [t] = [g.n]
+    is the stable ``g``, by covers.
+
+    An r-set inside [t] is in it iff it is in ``g``; any other r-set is
+    in it iff every r-set that lowers one of its vertices by one step is.
+    Those come before it in colex order, and every r-set inside [t]
+    comes before every one that leaves [t], so one ascending pass
+    decides each r-set from those before it.
+    """
+    t, r = g.n, g.r
+    edges = list(g.edges)
+    present = set(edges)
+    for e in sorted(r_subsets(n, r)):
+        if e >> t:
+            covers = [
+                e ^ (3 << (v - 1))
+                for v in range(1, n)
+                if e >> v & 1 and not e >> (v - 1) & 1
+            ]
+            if all(c in present for c in covers):
+                edges.append(e)
+                present.add(e)
+    return Hypergraph._make(n, r, tuple(edges))
+
+
 def nu_at_most_from_scratch(k: int):
     """The (h, e) walk predicate that tests ν(h ∪ {e}) <= k on the whole family."""
 

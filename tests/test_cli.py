@@ -1,7 +1,10 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -265,7 +268,7 @@ class TestVerify:
             "invariant-broken"
         ] * 2
 
-    def test_sweep_writes_each_line_before_the_next_cell(self, monkeypatch, tmp_path):
+    def test_sweep_writes_a_column_before_the_next_walk(self, monkeypatch, tmp_path):
         from hyperext import verifier
 
         class Stdout(io.StringIO):
@@ -275,20 +278,21 @@ class TestVerify:
                 self.flushed = self.getvalue()
 
         out = Stdout()
-        seen = []  # what stdout had flushed when each cell started
-        cell_worker = verifier._cell_worker
+        seen = []  # what stdout had flushed when each walk started
+        walk = verifier.enumerate_stable
 
-        def worker(cell):
+        def spy(*args, **kwargs):
             seen.append(out.flushed)
-            return cell_worker(cell)
+            return walk(*args, **kwargs)
 
-        monkeypatch.setattr(verifier, "_cell_worker", worker)
+        monkeypatch.setattr(verifier, "enumerate_stable", spy)
         monkeypatch.setattr(sys, "stdout", out)
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("r=2, k=1, s=2, n=5..6\n")
+        # two (k, r) columns of one cell each, walked on [4] and on [6]
+        cfg.write_text("n=8, r=2, k=1..2, s=2\n")
         assert main(["verify", "sweep", "--config", str(cfg)]) == 0
         lines = out.flushed.splitlines()
-        assert [json.loads(l)["cell"]["n"] for l in lines] == [5, 6]
+        assert [json.loads(l)["cell"]["k"] for l in lines] == [1, 2]
         assert seen == ["", lines[0] + "\n"]
 
     def test_sweep_stops_at_a_cell_that_raises(self, capsys, tmp_path):
@@ -300,6 +304,35 @@ class TestVerify:
         assert [json.loads(l)["cell"]["n"] for l in out.splitlines()] == [5]
         assert "n, k, r, s must be positive" in err
 
+
+    def test_one_column_sweep_runs_without_a_process_pool(self, tmp_path):
+        # --jobs 2 is capped at the one (k, r) column, so the sweep runs
+        # in-process and never imports concurrent.futures
+        import hyperext
+
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("r=3, k=1, s=3..5, n=max(s, r*k+r)..8\n")
+        script = (
+            "import sys\n"
+            "from hyperext.cli import main\n"
+            f"argv = ['verify', 'sweep', '--config', {str(cfg)!r}, '--jobs', '2']\n"
+            "code = main(argv)\n"
+            "print('pool' if 'concurrent.futures' in sys.modules else 'no pool')\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(hyperext.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        *lines, last = done.stdout.splitlines()
+        assert last == "no pool"
+        assert len(lines) == 9
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_sweep_jobs_below_one_exit_2(self, capsys, tmp_path, jobs):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from conftest import (
     avoiding,
     hosts,
+    lift_by_covers,
     naive_downset_count,
     naive_stable_families,
     nu_at_most_from_scratch,
@@ -18,6 +19,7 @@ from hyperext.core import (
     Budget,
     BudgetExceededError,
     Hypergraph,
+    labels_from_mask,
     mask_from_labels,
     r_subsets,
 )
@@ -32,6 +34,7 @@ from hyperext.shifting import (
     lifter,
     maximal_edges,
     precedes,
+    project,
     shift,
     stabilize,
     stable_closure_check,
@@ -209,12 +212,47 @@ class TestLift:
                 got = lift(Hypergraph._make(t, r, trace), n)
                 assert (got.n, got.r, got.edges) == (n, r, edges)
 
+    @pytest.mark.parametrize(
+        "t, r", [(3, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (6, 4)]
+    )
+    def test_projection_equals_the_cover_test(self, t, r):
+        families = list(naive_stable_families(t, r))
+        for n in range(t, t + 4):
+            ext = lifter(t, n, r)
+            for g in families:
+                want = lift_by_covers(g, n)
+                assert ext(g) == want == lift(g, n), (g, n)
+
     def test_fewer_vertices_than_the_trace_rejected(self):
         # a family on [4] cannot hold the edges of K_6 through vertex 6
         with pytest.raises(ValueError, match="t <= n"):
             lift(Hypergraph.complete(6, 2), 4)
         with pytest.raises(ValueError, match="t <= n"):
             lifter(6, 4, 2)
+
+
+class TestProject:
+    @pytest.mark.parametrize("n, r", [(5, 1), (6, 2), (7, 2), (7, 3), (8, 3), (8, 4)])
+    def test_lowers_keeps_precedence_and_fixes_the_span(self, n, r):
+        universe = sorted(r_subsets(n, r))
+        for t in range(r, n + 1):
+            image = {e: project(e, t) for e in universe}
+            for e, f in image.items():
+                # the definition: the i-th vertex becomes min(e_i, t - r + i)
+                want = mask_from_labels(
+                    [
+                        min(x, t - r + i)
+                        for i, x in enumerate(labels_from_mask(e), start=1)
+                    ]
+                )
+                assert f == want and f.bit_count() == r and not f >> t
+                assert precedes(f, e)
+                if not e >> t:
+                    assert f == e
+            for x in universe:
+                for y in universe:
+                    if precedes(x, y):
+                        assert precedes(image[x], image[y]), (x, y, t)
 
 
 class TestColexOrder:

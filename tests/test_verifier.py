@@ -44,7 +44,9 @@ from hyperext.matchings import (
 from hyperext.shifting import (
     enumerate_stable,
     is_stable,
+    lift,
     precedes,
+    project,
     stabilize,
     stable_closure_check,
 )
@@ -325,6 +327,46 @@ class TestTopRCount:
         rep = verify_extremal_cell(*cell)
         assert rep.observed_max > good.observed_max
         assert rep.status == INVARIANT_BROKEN != good.status
+
+
+class TestSpanTable:
+    """K_s of a lifted family from the table on the span, against the
+    clique walk on the lift."""
+
+    def test_every_maximal_family_of_four_columns(self):
+        pairs = 0
+        for k, r in [(1, 3), (2, 2), (1, 4), (2, 3)]:
+            t = r * (k + 1)
+            families = list(stable_with_matching_at_most(t, r, k))
+            for n in range(t, t + 4):
+                images = [(e, project(e, t)) for e in r_subsets(n, r)]
+                lifts = [lift(g, n) for g in families]
+                # every s of regimes I, II and III
+                for s in range(r, r * k + r):
+                    table = verifier._span_weights(images, r, s)
+                    for g, h in zip(families, lifts):
+                        got = sum(table[f] for f in g.edges)
+                        assert got == count_cliques(h, s).total, (g, n, s)
+                        pairs += 1
+        # 6, 3, 72 and 68 maximal families, times the s, times 4 n
+        assert pairs == 4 * (6 * 3 + 3 * 4 + 72 * 4 + 68 * 6) == 2904
+
+    def test_the_descent_starts_from_the_lift(self, monkeypatch):
+        # one column pass over four regime-III cells: each descends from
+        # the lift of the family it values, on its own [n]
+        descend = verifier._descend
+        starts = []
+
+        def spy(h, *rest):
+            starts.append(h)
+            return descend(h, *rest)
+
+        monkeypatch.setattr(verifier, "_descend", spy)
+        list(run_extremal_sweep([(n, 1, 3, 5) for n in range(6, 10)]))
+        assert [h.n for h in starts] == [6, 7, 8, 9]
+        for h in starts:
+            trace = tuple([e for e in h.edges if not e >> 6])
+            assert h == lift(Hypergraph._make(6, 3, trace), h.n)
 
 
 def _assert_budget_needed(verify, cell, need):
@@ -642,6 +684,46 @@ class TestSweep:
         assert [r.to_json_line(omit_timing=True) for r in serial] == [
             r.to_json_line(omit_timing=True) for r in parallel
         ]
+
+    # four (k, r) columns, cells below the span r(k+1) and regime III
+    GRID = [
+        (n, k, r, s)
+        for r in (2, 3)
+        for k in (1, 2)
+        for s in range(r, r * k + r)
+        for n in range(s, 9)
+    ]
+
+    def test_grid_has_what_the_column_pass_must_handle(self):
+        assert {(k, r) for _, k, r, _ in self.GRID} == {
+            (1, 2), (2, 2), (1, 3), (2, 3)
+        }
+        assert any(n < r * (k + 1) for n, k, r, _ in self.GRID)
+        assert any(n >= r * (k + 1) for n, k, r, _ in self.GRID)
+        assert any(s == r * k + r - 1 for _, k, r, s in self.GRID)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_columns_give_the_reports_of_single_cells(self, jobs):
+        def lines(reports):
+            return [
+                (rep.to_json_line(omit_timing=True), rep.second_best)
+                for rep in reports
+            ]
+
+        want = lines(verify_extremal_cell(*c) for c in sorted(self.GRID))
+        assert lines(run_extremal_sweep(self.GRID[::-1], jobs=jobs)) == want
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_cell_that_raises_ends_the_stream_there(self, jobs):
+        # key order: (6, 1, 2, 2), (6, 2, 2, 2), then (7, 1, 2, -1), which
+        # shares the first cell's column and raises
+        reports = run_extremal_sweep(
+            [(7, 1, 2, -1), (6, 2, 2, 2), (8, 2, 2, 2), (6, 1, 2, 2)], jobs=jobs
+        )
+        assert next(reports).cell == {"n": 6, "k": 1, "r": 2, "s": 2}
+        assert next(reports).cell == {"n": 6, "k": 2, "r": 2, "s": 2}
+        with pytest.raises(ValueError, match="must be positive"):
+            next(reports)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
