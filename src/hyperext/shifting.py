@@ -7,6 +7,12 @@ decreases clique counts, and never increases the matching number.  A
 stable r-graph is fixed by every S_ij with i < j, equivalently a downset
 of the sorted-componentwise precedence order ≺ on r-sets.
 
+``shift`` builds a new hypergraph per step; ``stabilize`` applies each
+S_ij in place on one edge set, indexed by vertex.  In place is exact:
+every target of S_ij holds i and misses j, so no target is also a
+source, and distinct sources have distinct targets, so the moves S_ij
+lists before it applies any are the moves it makes at once.
+
 ``colex_order(n, r)`` lists the r-sets of [n] in colex order and gives
 ≺ on them as bit sets over their indices: the covers of each r-set,
 the r-sets it covers, and both closures.  It is the one index of ≺ in
@@ -38,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 from .core import Budget, Hypergraph, iter_bits, labels_from_mask, r_subsets
 
@@ -52,50 +58,87 @@ class ShiftTrace:
     result: Hypergraph
 
 
+def _moves(
+    candidates: Iterable[int], present: Container[int], ibit: int, jbit: int
+) -> list[int]:
+    """The edges S_ij moves, listed from ``candidates``, which hold every
+    edge through j: those that hold j and miss i, and whose target, with
+    i in place of j, is not in ``present``.  ``shift`` and ``stabilize``
+    both read S_ij from here."""
+    flip = ibit | jbit
+    return [e for e in candidates if e & flip == jbit and e ^ flip not in present]
+
+
 def shift(h: Hypergraph, i: int, j: int) -> Hypergraph:
-    """Apply S_ij to every edge; i and j are 1-indexed with i < j."""
+    """Apply S_ij to every edge; i and j are 1-indexed with i < j.
+
+    ``h`` itself comes back when S_ij moves no edge."""
     if not 1 <= i < j <= h.n:
         raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={h.n}")
     ibit = 1 << (i - 1)
     jbit = 1 << (j - 1)
-    present = h.edge_set
-    out = []
-    for e in h.edges:
-        if e & jbit and not e & ibit:
-            target = (e ^ jbit) | ibit
-            out.append(e if target in present else target)
-        else:
-            out.append(e)
-    out.sort()
-    return Hypergraph._make(h.n, h.r, tuple(out))
-
-
-def _moved_count(h: Hypergraph, shifted: Hypergraph) -> int:
-    return len(set(shifted.edges) - h.edge_set)
+    moves = set(_moves(h.edges, h.edge_set, ibit, jbit))
+    if not moves:
+        return h
+    flip = ibit | jbit
+    return Hypergraph._make(
+        h.n, h.r, tuple(sorted([e ^ flip if e in moves else e for e in h.edges]))
+    )
 
 
 def stabilize(h: Hypergraph) -> ShiftTrace:
     """Sweep all pairs (i, j), i < j, lexicographically until a fixpoint.
 
+    Each application records ``(i, j, moved)`` with ``moved`` the number
+    of edges S_ij moves, and only applications that move an edge are
+    recorded; ``rounds`` counts the sweeps, the last one moving nothing.
     Terminates because each real move strictly decreases the sum of all
     vertex labels over all edges.
+
+    The run changes one edge set and a per-vertex index in place,
+    ``through[v]`` the edges that hold vertex v + 1, and builds one
+    ``Hypergraph`` at the end.  Step (i, j) lists its moves from the
+    edges that hold j (``_moves``) before it applies any, and applying
+    them one by one is exactly the simultaneous S_ij of ``shift``: every
+    target holds i and misses j, so no target is a source, and distinct
+    sources have distinct targets, so no move removes another's source
+    or fills another's target.
     """
+    n = h.n
+    present = set(h.edges)
+    through: list[set[int]] = [set() for _ in range(n)]
+    for e in h.edges:
+        for v in iter_bits(e):
+            through[v].add(e)
     apps: list[tuple[int, int, int]] = []
     rounds = 0
-    cur = h
     while True:
         rounds += 1
         moved_this_round = False
-        for i in range(1, cur.n):
-            for j in range(i + 1, cur.n + 1):
-                nxt = shift(cur, i, j)
-                if nxt.edges != cur.edges:
-                    apps.append((i, j, _moved_count(cur, nxt)))
-                    cur = nxt
-                    moved_this_round = True
+        for i in range(1, n):
+            ibit = 1 << (i - 1)
+            for j in range(i + 1, n + 1):
+                jbit = 1 << (j - 1)
+                moves = _moves(through[j - 1], present, ibit, jbit)
+                if not moves:
+                    continue
+                flip = ibit | jbit
+                for e in moves:
+                    f = e ^ flip
+                    present.remove(e)
+                    present.add(f)
+                    for v in iter_bits(e ^ jbit):
+                        on_v = through[v]
+                        on_v.remove(e)
+                        on_v.add(f)
+                    through[j - 1].remove(e)
+                    through[i - 1].add(f)
+                apps.append((i, j, len(moves)))
+                moved_this_round = True
         if not moved_this_round:
             break
-    return ShiftTrace(tuple(apps), rounds, cur)
+    result = Hypergraph._make(n, h.r, tuple(sorted(present)))
+    return ShiftTrace(tuple(apps), rounds, result)
 
 
 def is_stable(h: Hypergraph) -> bool:

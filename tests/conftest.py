@@ -14,7 +14,7 @@ from hyperext.cliques import count_cliques, enumerate_cliques
 from hyperext.core import Hypergraph, r_subsets
 from hyperext.extremal import ExtremalParams, reaches_regime_threshold, theorem_bound
 from hyperext.matchings import has_matching_at_most
-from hyperext.shifting import precedes
+from hyperext.shifting import ShiftTrace, precedes, shift
 
 # one line per acceptance criterion, printed after the run so the
 # verdicts survive pytest's output capture
@@ -173,6 +173,49 @@ def lift_by_covers(g: Hypergraph, n: int) -> Hypergraph:
                 edges.append(e)
                 present.add(e)
     return Hypergraph._make(n, r, tuple(edges))
+
+
+def shift_by_edges(h: Hypergraph, i: int, j: int) -> Hypergraph:
+    """S_ij by its definition, one edge at a time: an edge that holds j
+    and misses i goes to its target, with i in place of j, unless the
+    target is already an edge of ``h``."""
+    ibit = 1 << (i - 1)
+    jbit = 1 << (j - 1)
+    present = h.edge_set
+    out = []
+    for e in h.edges:
+        if e & jbit and not e & ibit:
+            target = (e ^ jbit) | ibit
+            out.append(e if target in present else target)
+        else:
+            out.append(e)
+    out.sort()
+    return Hypergraph._make(h.n, h.r, tuple(out))
+
+
+def _moved_count(h: Hypergraph, shifted: Hypergraph) -> int:
+    return len(set(shifted.edges) - h.edge_set)
+
+
+def stabilize_by_shifts(h: Hypergraph) -> ShiftTrace:
+    """``stabilize`` one ``shift`` at a time: every pair step builds a
+    new hypergraph, and its moves are counted by a set difference."""
+    apps: list[tuple[int, int, int]] = []
+    rounds = 0
+    cur = h
+    while True:
+        rounds += 1
+        moved_this_round = False
+        for i in range(1, cur.n):
+            for j in range(i + 1, cur.n + 1):
+                nxt = shift(cur, i, j)
+                if nxt.edges != cur.edges:
+                    apps.append((i, j, _moved_count(cur, nxt)))
+                    cur = nxt
+                    moved_this_round = True
+        if not moved_this_round:
+            break
+    return ShiftTrace(tuple(apps), rounds, cur)
 
 
 def nu_at_most_from_scratch(k: int):

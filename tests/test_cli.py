@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import stabilize_by_shifts
 from hyperext.cli import _parse_sweep_config, main
 from hyperext.core import Hypergraph, serialize
 from hyperext.extremal import build_extremal_family
@@ -143,6 +144,23 @@ class TestShiftStabilize:
         assert code == 0
         assert out == "3 2\n1 2\n"
         assert "2 applications" in err
+
+    def test_stabilize_output_equals_shift_by_shift(self, capsys, tmp_path):
+        h = Hypergraph.from_edges(
+            7, 3, [(2, 5, 7), (3, 4, 6), (4, 6, 7), (1, 5, 6), (3, 5, 7), (2, 3, 4)]
+        )
+        trace = stabilize_by_shifts(h)
+        assert len(trace.applications) > 1 and trace.rounds > 1
+        f = tmp_path / "h.hg"
+        f.write_text(serialize(h))
+        code, out, err = run(capsys, "stabilize", str(f))
+        assert code == 0
+        assert out == serialize(trace.result)
+        moved = sum(c for _, _, c in trace.applications)
+        assert err == (
+            f"# stabilize: {len(trace.applications)} applications, "
+            f"{moved} edge moves, {trace.rounds} sweeps\n"
+        )
 
 
 class TestClosedForm:

@@ -13,6 +13,8 @@ from conftest import (
     nu_at_most_from_scratch,
     nu_blockers_from_scratch,
     nu_blockers_through,
+    shift_by_edges,
+    stabilize_by_shifts,
 )
 from hyperext.cliques import clique_census, count_cliques
 from hyperext.core import (
@@ -98,6 +100,16 @@ class TestShift:
                 assert all(shifted[s] >= census[s] for s in census)
                 assert matching_number(g)[0] <= nu
 
+    @settings(max_examples=100, deadline=None)
+    @given(hosts())
+    @example(Hypergraph(5, 2, ()))
+    @example(Hypergraph.from_edges(4, 1, [(2,), (4,)]))
+    @example(Hypergraph.complete(4, 4))
+    def test_equals_the_per_edge_definition(self, h):
+        for i in range(1, h.n):
+            for j in range(i + 1, h.n + 1):
+                assert shift(h, i, j) == shift_by_edges(h, i, j)
+
     def test_rejects_bad_indices(self):
         h = Hypergraph.complete(4, 2)
         for i, j in [(0, 2), (2, 2), (3, 1), (1, 5)]:
@@ -144,6 +156,34 @@ class TestStabilize:
         trace = stabilize(h)
         assert trace.applications == () and trace.result == h
         assert trace.rounds == 1
+
+    @staticmethod
+    def check_against_oracle(h):
+        before = Hypergraph(h.n, h.r, h.edges)
+        trace = stabilize(h)
+        assert trace == stabilize_by_shifts(h)
+        assert h == before
+        res = trace.result
+        assert Hypergraph.from_edge_masks(res.n, res.r, res.edges) == res
+
+    @settings(max_examples=200, deadline=None)
+    @given(hosts())
+    @example(Hypergraph(6, 3, ()))
+    @example(Hypergraph(1, 1, ()))
+    @example(Hypergraph.from_edges(1, 1, [(1,)]))
+    @example(Hypergraph.from_edges(7, 1, [(2,), (5,), (7,)]))
+    @example(Hypergraph.complete(5, 5))
+    @example(Hypergraph.from_edges(9, 9, [range(1, 10)]))
+    def test_trace_equals_shift_by_shift(self, h):
+        self.check_against_oracle(h)
+
+    def test_trace_equals_shift_by_shift_on_toolkit_sized_hosts(self):
+        # sized like the benchmark's stabilize calls: n 12..14, r = 3, p = 0.3
+        rng = random.Random(28)
+        for _ in range(200):
+            self.check_against_oracle(
+                random_hypergraph(rng, rng.randint(12, 14), 3, 0.3)
+            )
 
 
 class TestStableChecks:
