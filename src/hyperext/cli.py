@@ -146,7 +146,8 @@ def _exit_code(reports) -> int:
 def _sweep_int(expr: str, names: dict[str, int]) -> int:
     """Evaluate an integer literal, an earlier name, ``+ - * //``, unary minus,
     parentheses and ``min``/``max`` of two or more positional arguments;
-    anything else is a ValueError."""
+    anything else, or nesting too deep for the parser or ``ev``, is a
+    ValueError."""
 
     def ev(node: ast.AST) -> int:
         if isinstance(node, ast.Constant) and type(node.value) is int:
@@ -171,10 +172,11 @@ def _sweep_int(expr: str, names: dict[str, int]) -> int:
         raise ValueError(f"unsupported sweep expression {expr!r}")
 
     try:
-        tree = ast.parse(expr, mode="eval")
+        return ev(ast.parse(expr, mode="eval").body)
     except SyntaxError:
         raise ValueError(f"malformed sweep expression {expr!r}") from None
-    return ev(tree.body)
+    except RecursionError:
+        raise ValueError("sweep expression nested too deeply") from None
 
 
 def _parse_sweep_config(text: str) -> list[tuple[int, int, int, int]]:

@@ -208,7 +208,7 @@ def induced_subhypergraph(h: Hypergraph, s_mask: int) -> Hypergraph:
     _check_vertex_mask(h, s_mask)
     # tuple() of a list, not of a generator: a generator's tuple is shrunk
     # after filling, and CPython then parks it on the free list of its new
-    # size; in the stable-family walk those lists grew by megabytes
+    # size, where a caller that builds many of them can hold megabytes
     kept = tuple([e for e in h.edges if e & ~s_mask == 0])
     return Hypergraph._make(h.n, h.r, kept)
 

@@ -4,6 +4,11 @@ One exhaustive search decides whether a target number of pairwise
 disjoint edges exists: it branches on every edge through the
 highest-indexed covered vertex versus discarding that vertex, and prunes
 when floor(covered/r) falls below the number of edges still needed.
+It is a depth-first stack of immutable nodes ``(avail, drop, need,
+picks)``, so its depth is not bounded by Python's recursion limit: a
+star on a thousand vertices drops one vertex per level.  A node filters
+its parent's edge list ``avail`` by ``drop`` only when it is popped, so
+a child that is never tried costs no list.
 ``find_matching(h, size)`` returns the matching that search finds, or
 None; ``has_matching_at_most(h, k)`` is one search with target k+1, and
 ``matching_number`` raises the target from 1 until the search fails,
@@ -77,36 +82,46 @@ def is_valid_rainbow_matching(fam: ColoredFamily, rm: RainbowMatching) -> bool:
     return True
 
 
-def _find_matching(
-    avail: list[int], need: int, r: int, budget: Budget
-) -> list[int] | None:
-    """``need`` pairwise-disjoint edges from ``avail`` (last pick first), or None."""
-    budget.spend()
-    if need <= 0:
-        return []
-    if len(avail) < need:
-        return None
-    cover = 0
-    for e in avail:
-        cover |= e
-    if cover.bit_count() // r < need:
-        return None
-    vbit = 1 << (cover.bit_length() - 1)
-    for e in avail:
-        if e & vbit:
-            found = _find_matching([f for f in avail if not f & e], need - 1, r, budget)
-            if found is not None:
-                found.append(e)
-                return found
-    return _find_matching([f for f in avail if not f & vbit], need, r, budget)
-
-
 def find_matching(
     h: Hypergraph, size: int, budget: Budget | None = None
 ) -> Matching | None:
-    """``size`` pairwise-disjoint edges of ``h``, or None if it has none."""
-    found = _find_matching(list(h.edges), size, h.r, budget or Budget())
-    return None if found is None else Matching(tuple(reversed(found)))
+    """``size`` pairwise-disjoint edges of ``h`` in pick order, or None if
+    it has none.
+
+    A node ``(avail, drop, need, picks)`` is the parent's edge list, the
+    mask this node removes from it (its picked edge, the pivot vertex it
+    drops, or 0 at the root), the number of edges still needed and the
+    edges picked so far.  A pop spends one node, filters, prunes, and
+    pushes the child that drops the pivot below the children that pick
+    each edge through it, the first edge on top: the order of a search
+    that tries each pick before dropping the vertex.  Filtering at the
+    pop, not the push, leaves the siblings of a match unfiltered; on the
+    benchmark's ν hosts a version that filtered each child as it was
+    pushed took about 1.3 times as long.  The one prune is on the
+    covered vertices: every edge has r of them, so a list shorter than
+    ``need`` is pruned there too.
+    """
+    budget = budget or Budget()
+    r = h.r
+    stack = [(h.edges, 0, size, ())]
+    while stack:
+        avail, drop, need, picks = stack.pop()
+        budget.spend()
+        if need <= 0:
+            return Matching(picks)
+        avail = [f for f in avail if not f & drop]
+        cover = 0
+        for e in avail:
+            cover |= e
+        if cover.bit_count() // r < need:
+            continue
+        vbit = 1 << (cover.bit_length() - 1)
+        stack.append((avail, vbit, need, picks))
+        need -= 1
+        for e in reversed(avail):
+            if e & vbit:
+                stack.append((avail, e, need, picks + (e,)))
+    return None
 
 
 def matching_number(
@@ -188,7 +203,13 @@ def perfect_matching_patterns(r: int, k: int) -> tuple[tuple[int, ...], ...]:
 def _rainbow_picks(
     fam: ColoredFamily, order: list[int], picks: list[tuple[int, int]], used: int
 ) -> bool:
-    """Add one edge per color left in ``order`` to ``picks``, avoiding ``used``."""
+    """Add one edge per color left in ``order`` to ``picks``, avoiding ``used``.
+
+    The recursion is one level per colour, so its depth is k.  It stays
+    recursive: a stack of (used, picks) nodes found the same matchings
+    on 800 of the benchmark's rainbow families but took 13% longer on
+    200 of them (paired median of 15 timings).
+    """
     pos = len(picks)
     if pos == fam.k:
         return True

@@ -11,7 +11,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from hyperext.cliques import count_cliques, enumerate_cliques
-from hyperext.core import Hypergraph, r_subsets
+from hyperext.core import Budget, Hypergraph, r_subsets
 from hyperext.extremal import ExtremalParams, reaches_regime_threshold, theorem_bound
 from hyperext.matchings import has_matching_at_most
 from hyperext.shifting import ShiftTrace, precedes, shift
@@ -82,6 +82,36 @@ def _pairwise_disjoint(edges) -> bool:
             return False
         used |= e
     return True
+
+
+def find_matching_recursive(
+    avail: list[int], need: int, r: int, budget: Budget
+) -> list[int] | None:
+    """``need`` pairwise-disjoint edges from ``avail`` (last pick first), or None.
+
+    The ν search as plain recursion: one call per node, branching on each
+    edge through the top covered vertex before dropping that vertex.
+    """
+    budget.spend()
+    if need <= 0:
+        return []
+    if len(avail) < need:
+        return None
+    cover = 0
+    for e in avail:
+        cover |= e
+    if cover.bit_count() // r < need:
+        return None
+    vbit = 1 << (cover.bit_length() - 1)
+    for e in avail:
+        if e & vbit:
+            found = find_matching_recursive(
+                [f for f in avail if not f & e], need - 1, r, budget
+            )
+            if found is not None:
+                found.append(e)
+                return found
+    return find_matching_recursive([f for f in avail if not f & vbit], need, r, budget)
 
 
 def naive_downset_count(n: int, r: int) -> int:

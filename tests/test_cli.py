@@ -122,6 +122,15 @@ class TestNu:
         assert code == 2 and out == ""
         assert "error:" in err and "budget" in err
 
+    def test_star_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        n = sys.getrecursionlimit() + 100
+        star = Hypergraph.from_edges(n, 2, [(1, v) for v in range(2, n + 1)])
+        f = tmp_path / "star.hg"
+        f.write_text(serialize(star))
+        code, out, _ = run(capsys, "nu", str(f))
+        assert code == 0
+        assert out.splitlines()[0] == "1"
+
 
 class TestShiftStabilize:
     def test_shift_once(self, capsys, tmp_path):
@@ -408,6 +417,9 @@ class TestSweepConfigGrammar:
             "n=",
             "n=2..min(3)",
             "n=max(1)..6",
+            # nested past the recursion limit of the evaluator, then the parser
+            pytest.param("n=" + "+".join(["1"] * 2 * sys.getrecursionlimit()), id="sum"),
+            pytest.param("n=" + "-" * 3 * sys.getrecursionlimit() + "1", id="minus"),
         ],
     )
     def test_expression_outside_grammar_exits_2(self, capsys, tmp_path, line):

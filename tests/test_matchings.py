@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import sys
 from functools import reduce
 from itertools import combinations
 from operator import or_
@@ -8,7 +9,12 @@ from operator import or_
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import hosts, naive_matching_number, naive_stable_families
+from conftest import (
+    find_matching_recursive,
+    hosts,
+    naive_matching_number,
+    naive_stable_families,
+)
 from hyperext.core import (
     Budget,
     BudgetExceededError,
@@ -20,6 +26,7 @@ from hyperext.core import (
 )
 from hyperext.extremal import binom, build_extremal_family
 from hyperext.matchings import (
+    Matching,
     find_matching,
     find_rainbow_matching,
     greedy_matching_from_disjoint_tuples,
@@ -153,6 +160,61 @@ class TestOneSearch:
         assert find_matching(h, 2, budget) is None and budget.left == 0
         with pytest.raises(BudgetExceededError):
             find_matching(h, 2, Budget(6))
+
+
+class CountingBudget(Budget):
+    """An unlimited budget that counts the nodes spent from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.spent = 0
+
+    def spend(self) -> None:
+        self.spent += 1
+
+
+def assert_search_equals_recursion(h: Hypergraph) -> None:
+    """For every size 0..ν+1, the same matching and the same node count as
+    the recursive search; ``matching_number`` spends the sum of its rounds."""
+    nu, _ = matching_number(h, rounds := CountingBudget())
+    spent = []
+    for size in range(nu + 2):
+        ours, theirs = CountingBudget(), CountingBudget()
+        found = find_matching(h, size, ours)
+        want = find_matching_recursive(list(h.edges), size, h.r, theirs)
+        assert found == (None if want is None else Matching(tuple(reversed(want))))
+        assert ours.spent == theirs.spent
+        spent.append(theirs.spent)
+    assert rounds.spent == sum(spent[1:])
+
+
+class TestStackSearch:
+    """The ν search is a stack of nodes in the recursion's order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hosts())
+    @example(Hypergraph(5, 3, ()))
+    @example(Hypergraph.complete(9, 1))
+    @example(Hypergraph.complete(9, 3))
+    def test_equals_the_recursion(self, h):
+        assert_search_equals_recursion(h)
+
+    def test_equals_the_recursion_on_toolkit_sized_hosts(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            h = random_hypergraph(rng, rng.randint(26, 30), 3, 0.018)
+            assert_search_equals_recursion(h)
+
+    def test_star_deeper_than_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 100
+        star = Hypergraph.from_edges(n, 2, [(1, v) for v in range(2, n + 1)])
+        assert has_matching_at_most(star, 1)
+        assert matching_number(star)[0] == 1
+
+    def test_matching_deeper_than_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 100
+        h = Hypergraph.complete(n, 1)
+        assert sorted(find_matching(h, n).edges) == list(h.edges)
 
 
 class TestStableInput:
