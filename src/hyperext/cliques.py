@@ -9,20 +9,21 @@ each clique once, by adding its vertices in increasing label order.  For
 each (r-1)-subset of the host's edges a precomputed extension mask
 records which vertices complete it to an edge, so a child's extenders
 cost a handful of bitwise ANDs.  The walk counts the cliques of every
-size in a window.  Those of the top size are counted at their parent, as
-the number of its extenders, and get no node of their own; they are
-built one at a time only for an optional visitor: enumeration collects
-them, per-vertex counting tallies their vertices, and plain counting
-holds none of them.
+size in a window, each at its parent, as the number of the parent's
+extenders.  A child is pushed only if it is live: it has extenders, and
+enough of them to reach the window's least size.  The cliques of the top
+size get no node of their own.  Their parent builds them only for
+enumeration, and tallies their vertices for per-vertex counting; plain
+counting holds none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .core import Hypergraph, iter_bits
+from .core import Hypergraph
 
 
 @dataclass(frozen=True)
@@ -48,19 +49,26 @@ def _extension_table(h: Hypergraph) -> dict[int, int]:
 
 
 def _walk(
-    h: Hypergraph, lo: int, hi: int, visit: Callable[[int], None] | None = None
+    h: Hypergraph,
+    lo: int,
+    hi: int,
+    found: list[int] | None = None,
+    tally: list[int] | None = None,
 ) -> dict[int, int]:
-    """Number of cliques of each size lo..hi; ``visit(mask)`` on each of size hi.
+    """Number of cliques of each size lo..hi, counted at their parents.
 
-    A node ``(clique, extenders)`` is a clique of size below ``hi`` and
-    the vertices above its top vertex that extend it.  A vertex w above v
-    extends ``clique | v`` iff it extends the clique and completes each
-    (r-1)-set S + v, for S an (r-2)-subset of the clique.  So the child
-    that adds the extender v keeps the extenders above v that lie in
-    every ``ext[S | v]``.  The (r-2)-subsets are built once per node, and
-    only at nodes with extenders.  A node of size ``hi - 1`` counts its
-    extenders as the cliques of size ``hi`` and pushes no child.  A node
-    is cut once its size plus its extenders fall below ``lo``.
+    A node ``(clique, extenders)`` is a clique of size m below ``hi`` and
+    the vertices above its top vertex that extend it.  Its children are
+    the cliques ``clique | v``, one per extender v, so the node adds the
+    number of its extenders to the count of size m + 1.  A vertex w
+    above v extends ``clique | v`` iff it extends the clique and
+    completes each (r-1)-set S + v, for S an (r-2)-subset of the clique.
+    So the child that adds v keeps the extenders above v that lie in
+    every ``ext[S | v]``.  A child is pushed only if it is live: it has
+    extenders, and with them can still reach size ``lo``.  A node of
+    size ``hi - 1`` pushes no child.  It appends its children to
+    ``found`` and tallies their vertices into ``tally``: each vertex of
+    the clique lies in all of them, and each extender in one.
     """
     r = h.r
     counts = dict.fromkeys(range(lo, hi + 1), 0)
@@ -70,27 +78,52 @@ def _walk(
     stack = [(0, ext.get(0, 0) if r == 1 else h.full_mask)]
     while stack:
         clique, extenders = stack.pop()
-        m = clique.bit_count()
+        m = clique.bit_count() + 1  # the size of the children
         if m >= lo:
-            counts[m] += 1
-        if m + 1 == hi:
-            counts[hi] += extenders.bit_count()
-            if visit is not None:
-                for v in iter_bits(extenders):
-                    visit(clique | 1 << v)
+            counts[m] += extenders.bit_count()
+        if m == hi:
+            if found is not None:
+                x = extenders
+                while x:
+                    low = x & -x
+                    found.append(clique | low)
+                    x ^= low
+            if tally is not None:
+                c = extenders.bit_count()
+                x = clique
+                while x:
+                    low = x & -x
+                    tally[low.bit_length() - 1] += c
+                    x ^= low
+                x = extenders
+                while x:
+                    low = x & -x
+                    tally[low.bit_length() - 1] += 1
+                    x ^= low
             continue
-        if not extenders or m + extenders.bit_count() < lo:
-            continue
-        bits = [1 << v for v in iter_bits(clique)]
-        subsets = [sum(sub) for sub in combinations(bits, r - 2)] if r > 1 else []
-        for v in iter_bits(extenders):
-            vbit = 1 << v
-            cand = extenders & -(vbit << 1)  # the extenders above v
+        # the (r-2)-subsets of the clique as masks; for r = 3, its bits
+        if r > 2:
+            subsets = []
+            x = clique
+            while x:
+                low = x & -x
+                subsets.append(low)
+                x ^= low
+            if r > 3:
+                subsets = [sum(sub) for sub in combinations(subsets, r - 2)]
+        else:
+            subsets = (0,) if r == 2 else ()
+        x = extenders
+        while x:
+            vbit = x & -x
+            x ^= vbit
+            cand = x  # the extenders above v
             for sub in subsets:
                 cand &= ext.get(sub | vbit, 0)
                 if not cand:
                     break
-            stack.append((clique | vbit, cand))
+            if cand and m + cand.bit_count() >= lo:
+                stack.append((clique | vbit, cand))
     return counts
 
 
@@ -99,7 +132,7 @@ def enumerate_cliques(h: Hypergraph, s: int) -> Iterator[int]:
     if s < h.r:
         raise ValueError(f"clique size s={s} below uniformity r={h.r}")
     found: list[int] = []
-    _walk(h, s, s, found.append)
+    _walk(h, s, s, found=found)
     found.sort()
     return iter(found)
 
@@ -108,14 +141,9 @@ def count_cliques(h: Hypergraph, s: int, per_vertex: bool = False) -> CliqueCoun
     """K_s^r(h), exactly; with K_s^r(u, h) per vertex when requested."""
     if s < h.r:
         raise ValueError(f"clique size s={s} below uniformity r={h.r}")
-    tally = [0] * h.n
-
-    def visit(mask: int) -> None:
-        for v in iter_bits(mask):
-            tally[v] += 1
-
-    total = _walk(h, s, s, visit if per_vertex else None)[s]
-    pv = {v + 1: c for v, c in enumerate(tally)} if per_vertex else None
+    tally = [0] * h.n if per_vertex else None
+    total = _walk(h, s, s, tally=tally)[s]
+    pv = {v + 1: c for v, c in enumerate(tally)} if tally is not None else None
     return CliqueCount(s=s, total=total, per_vertex=pv)
 
 

@@ -171,17 +171,23 @@ def precedes(e1: int, e2: int) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _dominated_sets(
-    xs: list[int], idx: int = 0, prev: int = 0, mask: int = 0
-) -> Iterator[int]:
+def _dominated_sets(xs: list[int]) -> Iterator[int]:
     """All r-set masks S with S ≺ e (including e itself), for the sorted
-    labels ``xs`` of e; ``mask`` holds the labels of S chosen below
-    ``idx``, the last of them ``prev``."""
-    if idx == len(xs):
-        yield mask
-        return
-    for y in range(prev + 1, xs[idx] + 1):
-        yield from _dominated_sets(xs, idx + 1, y, mask | (1 << (y - 1)))
+    labels ``xs`` of e, in lexicographic order of their label lists.
+
+    A stack node ``(idx, prev, mask)`` holds the labels of S chosen below
+    ``idx`` in ``mask``, the last of them ``prev``.  Its children are
+    pushed largest label first, so the smallest is popped first, and no
+    recursion bounds r.
+    """
+    stack = [(0, 0, 0)]
+    while stack:
+        idx, prev, mask = stack.pop()
+        if idx == len(xs):
+            yield mask
+            continue
+        for y in range(xs[idx], prev, -1):
+            stack.append((idx + 1, y, mask | (1 << (y - 1))))
 
 
 def stable_closure_check(h: Hypergraph) -> bool:

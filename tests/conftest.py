@@ -7,6 +7,7 @@ optimized paths are checked against an independent route.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
 from hypothesis import strategies as st
 
@@ -112,6 +113,18 @@ def find_matching_recursive(
                 found.append(e)
                 return found
     return find_matching_recursive([f for f in avail if not f & vbit], need, r, budget)
+
+
+def dominated_sets_recursive(
+    xs: list[int], idx: int = 0, prev: int = 0, mask: int = 0
+) -> Iterator[int]:
+    """All r-set masks S with S ≺ e (including e itself), for the sorted
+    labels ``xs`` of e, by one recursion level per label of S."""
+    if idx == len(xs):
+        yield mask
+        return
+    for y in range(prev + 1, xs[idx] + 1):
+        yield from dominated_sets_recursive(xs, idx + 1, y, mask | (1 << (y - 1)))
 
 
 def naive_downset_count(n: int, r: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import hosts, naive_clique_count
-from hyperext.cliques import clique_census, count_cliques, enumerate_cliques
+from hyperext.cliques import _walk, clique_census, count_cliques, enumerate_cliques
 from hyperext.core import Hypergraph, delete_vertices, mask_from_labels
 from hyperext.extremal import build_extremal_family
 from hyperext.randgen import random_hypergraph
@@ -160,6 +160,39 @@ class TestOneWalk:
                 v: sum(c >> (v - 1) & 1 for c in found) for v in range(1, h.n + 1)
             }
             assert sum(cc.per_vertex.values()) == s * cc.total
+
+    @settings(max_examples=150, deadline=None)
+    @given(hosts())
+    @example(Hypergraph(5, 2, ()))
+    @example(Hypergraph(1, 1, ()))
+    @example(Hypergraph.from_edges(6, 1, [(1,), (3,), (4,), (6,)]))
+    @example(Hypergraph.complete(7, 1))
+    @example(Hypergraph.complete(8, 3))
+    def test_every_window_equals_oracle(self, h):
+        # a child is pushed only if it can still reach size lo, so the
+        # prune depends on lo: check every window up to s = n + 1
+        naive = {s: naive_clique_count(h, s) for s in range(h.r, h.n + 2)}
+        for lo in range(h.r, h.n + 2):
+            for hi in range(lo, h.n + 2):
+                assert _walk(h, lo, hi) == {s: naive[s] for s in range(lo, hi + 1)}
+
+    def test_every_route_on_toolkit_sized_hosts(self):
+        # sized like the benchmark's clique calls (r = 3, n 19..21,
+        # p = 0.45), far above the n <= 9 of hosts()
+        rng = random.Random(30)
+        for _ in range(12):
+            h = random_hypergraph(rng, rng.randint(19, 21), 3, 0.45)
+            s = rng.choice((4, 5))
+            cc = count_cliques(h, s, per_vertex=True)
+            found = list(enumerate_cliques(h, s))
+            assert cc.total == naive_clique_count(h, s) == len(found)
+            assert found == sorted(set(found))
+            assert clique_census(h, s) == {
+                t: naive_clique_count(h, t) for t in range(3, s + 1)
+            }
+            assert cc.per_vertex == {
+                v: sum(c >> (v - 1) & 1 for c in found) for v in range(1, h.n + 1)
+            }
 
     def test_clique_deeper_than_the_recursion_limit(self):
         # r = 1: the only n-clique is [n]; the walk goes n - 1 nodes deep

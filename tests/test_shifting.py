@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 
 from conftest import (
     avoiding,
+    dominated_sets_recursive,
     hosts,
     lift_by_covers,
     naive_downset_count,
@@ -29,6 +31,7 @@ from hyperext.extremal import build_extremal_family
 from hyperext.matchings import matching_number
 from hyperext.randgen import random_hypergraph
 from hyperext.shifting import (
+    _dominated_sets,
     colex_order,
     enumerate_stable,
     is_stable,
@@ -207,6 +210,20 @@ class TestStableChecks:
     def test_empty_and_complete_are_stable(self):
         assert is_stable(Hypergraph(5, 2, ()))
         assert is_stable(Hypergraph.complete(5, 3))
+
+    def test_dominated_sets_in_the_recursion_order(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(0, 10)
+            xs = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            assert list(_dominated_sets(xs)) == list(dominated_sets_recursive(xs))
+
+    def test_edge_wider_than_the_recursion_limit(self):
+        # one edge [n]: the closure check walks n labels deep
+        n = sys.getrecursionlimit() + 100
+        h = Hypergraph.complete(n, n)
+        assert is_stable(h)
+        assert stable_closure_check(h)
 
 
 class TestPrecedes:
