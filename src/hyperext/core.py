@@ -6,6 +6,12 @@ vertex with external label ``v + 1`` is present.  All public I/O is
 deduplicated and sorted by numeric mask value, which is exactly colex
 order on the underlying vertex sets.  ``Budget`` is the one node budget
 that every exhaustive search spends from.
+
+The .hg text format (``parse``, ``serialize``) is a header line ``n r``
+and one line of labels per edge; a label token is anything ``int()``
+reads (``+1``, ``01`` and non-ASCII digits included) that lies in
+[1, n].  Both directions look each label up in a table made per call
+from the labels actually used, never from [n].
 """
 
 from __future__ import annotations
@@ -66,7 +72,12 @@ def mask_from_labels(labels: Iterable[int]) -> int:
 
 
 def labels_from_mask(mask: int) -> tuple[int, ...]:
-    """Ascending 1-indexed labels of the set bits of ``mask``."""
+    """Ascending 1-indexed labels of the set bits of ``mask``.
+
+    A negative int has infinitely many set bits, so it is rejected.
+    """
+    if mask < 0:
+        raise ValueError(f"mask must be non-negative, got {mask}")
     labels = []
     while mask:
         low = mask & -mask
@@ -119,31 +130,25 @@ class Hypergraph:
     ) -> "Hypergraph":
         if not 1 <= r <= n:
             raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-        full = (1 << n) - 1
-        seen: set[int] = set()
-        out: list[int] = []
+        checked: list[int] = []
         for m in masks:
-            if m & ~full:
-                raise ValueError(
-                    f"edge {labels_from_mask(m)} uses vertices above n={n}"
-                )
-            if m.bit_count() != r:
+            # m >> n is nonzero iff m has a bit at n or above (a negative m
+            # has them all); unlike m & ~full, it builds no n-bit int
+            if m >> n or m.bit_count() != r:
+                # repeats met before the bad edge are reported first
+                _canonical_edges(checked, strict_duplicates)
+                if m < 0:
+                    raise ValueError(f"edge mask {m} is negative")
+                if m >> n:
+                    raise ValueError(
+                        f"edge {labels_from_mask(m)} uses vertices above n={n}"
+                    )
                 raise ValueError(
                     f"edge {labels_from_mask(m)} has cardinality "
                     f"{m.bit_count()}, expected {r}"
                 )
-            if m in seen:
-                if strict_duplicates:
-                    raise ValueError(f"duplicate edge {labels_from_mask(m)}")
-                warnings.warn(
-                    f"duplicate edge {labels_from_mask(m)} dropped",
-                    stacklevel=2,
-                )
-                continue
-            seen.add(m)
-            out.append(m)
-        out.sort()
-        return cls(n, r, tuple(out))
+            checked.append(m)
+        return cls(n, r, _canonical_edges(checked, strict_duplicates))
 
     @classmethod
     def from_edges(
@@ -234,34 +239,68 @@ def degree(h: Hypergraph, s_mask: int) -> int:
 
 
 def _check_vertex_mask(h: Hypergraph, mask: int) -> None:
-    if mask & ~h.full_mask:
+    if mask >> h.n:
+        if mask < 0:
+            raise ValueError(f"vertex set mask {mask} is negative")
         raise ValueError(
             f"vertex set {labels_from_mask(mask)} not contained in [{h.n}]"
         )
+
+
+def _canonical_edges(masks: list[int], strict_duplicates: bool) -> tuple[int, ...]:
+    """``masks`` without repeats, in ascending order.
+
+    Each repeat raises under ``strict_duplicates``, else warns as it is
+    met (attributed to the caller of the public function) and is dropped.
+    """
+    out = list(dict.fromkeys(masks))
+    if len(out) < len(masks):
+        seen: set[int] = set()
+        for m in masks:
+            if m in seen:
+                if strict_duplicates:
+                    raise ValueError(f"duplicate edge {labels_from_mask(m)}")
+                warnings.warn(
+                    f"duplicate edge {labels_from_mask(m)} dropped", stacklevel=3
+                )
+            seen.add(m)
+    out.sort()
+    return tuple(out)
+
+
+def _ints(tokens: list[str], lineno: int) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:
+        raise HypergraphFormatError(f"line {lineno}: {exc}") from None
 
 
 def parse(text: str, *, strict_duplicates: bool = False) -> Hypergraph:
     """Parse the .hg text format.
 
     Format: first non-comment line ``n r``; every further non-comment line
-    lists r distinct 1-indexed labels.  Lines starting with '#' are
-    comments.  Duplicate edges warn and are dropped unless
-    ``strict_duplicates`` is set.
+    lists r distinct 1-indexed labels.  A label is any token that
+    ``int()`` reads (so ``+1`` and ``01`` are 1), in the range [1, n].
+    Lines starting with '#' are comments.  Duplicate edges warn and are
+    dropped unless ``strict_duplicates`` is set.
+
+    Each line is checked once.  A label token is read by ``int()`` and
+    range-checked the first time it appears; a table from token text to
+    vertex bit then serves every later use, so a label costs one lookup.
+    The table holds only the tokens the text uses, whatever n is.
     """
     header: tuple[int, int] | None = None
+    bits: dict[str, int] = {}
     masks: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        try:
-            nums = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise HypergraphFormatError(f"line {lineno}: {exc}") from None
         if header is None:
+            nums = _ints(tokens, lineno)
             if len(nums) != 2:
                 raise HypergraphFormatError(
-                    f"line {lineno}: header must be 'n r', got {line!r}"
+                    f"line {lineno}: header must be 'n r', got {raw.strip()!r}"
                 )
             n, r = nums
             if not 1 <= r <= n:
@@ -270,12 +309,19 @@ def parse(text: str, *, strict_duplicates: bool = False) -> Hypergraph:
                 )
             header = (n, r)
             continue
-        n, r = header
-        if any(v < 1 or v > n for v in nums):
-            raise HypergraphFormatError(
-                f"line {lineno}: vertex label out of range [1, {n}]"
-            )
-        mask = mask_from_labels(nums)
+        mask = 0
+        try:
+            for tok in tokens:
+                mask |= bits[tok]
+        except KeyError:
+            nums = _ints(tokens, lineno)
+            if any(v < 1 or v > n for v in nums):
+                raise HypergraphFormatError(
+                    f"line {lineno}: vertex label out of range [1, {n}]"
+                ) from None
+            mask = 0
+            for tok, v in zip(tokens, nums):
+                mask |= bits.setdefault(tok, 1 << (v - 1))
         if mask.bit_count() != r:
             raise HypergraphFormatError(
                 f"line {lineno}: edge cardinality {mask.bit_count()} after "
@@ -285,18 +331,29 @@ def parse(text: str, *, strict_duplicates: bool = False) -> Hypergraph:
     if header is None:
         raise HypergraphFormatError("missing 'n r' header line")
     try:
-        return Hypergraph.from_edge_masks(
-            *header, masks, strict_duplicates=strict_duplicates
-        )
+        return Hypergraph(*header, _canonical_edges(masks, strict_duplicates))
     except ValueError as exc:
         raise HypergraphFormatError(str(exc)) from None
 
 
 def serialize(h: Hypergraph) -> str:
-    """Canonical .hg text: colex edge order, single spaces, trailing newline."""
+    """Canonical .hg text: colex edge order, single spaces, trailing newline.
+
+    A vertex's label string is made the first time one of its edges is
+    written and looked up by its bit after that.
+    """
+    names: dict[int, str] = {}
     lines = [f"{h.n} {h.r}"]
     for e in h.edges:
-        lines.append(" ".join(str(v) for v in labels_from_mask(e)))
+        parts = []
+        while e:
+            low = e & -e
+            name = names.get(low)
+            if name is None:
+                name = names[low] = str(low.bit_length())
+            parts.append(name)
+            e ^= low
+        lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 

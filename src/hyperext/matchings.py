@@ -11,10 +11,10 @@ its parent's edge list ``avail`` by ``drop`` only when it is popped, so
 a child that is never tried costs no list.
 ``find_matching(h, size)`` returns the matching that search finds, or
 None; ``has_matching_at_most(h, k)`` is one search with target k+1, and
-``matching_number`` raises the target from 1 until the search fails,
-the last matching found being the witness.  Every search node spends one
-node of the ``core.Budget`` handed in, across all rounds and all calls
-that share it; exactness is non-negotiable, so running out raises
+``matching_number`` is one search of the same tree that keeps the
+longest matching found so far and prunes against it.  Every search node
+spends one node of the ``core.Budget`` handed in, across all calls that
+share it; exactness is non-negotiable, so running out raises
 ``BudgetExceededError`` instead of approximating.
 
 Any pivot vertex is exact; the top one is chosen for stable input, such
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
 from operator import or_
+from typing import Iterator
 
 from .core import Budget, ColoredFamily, Hypergraph, iter_bits, neighborhood
 from .shifting import colex_order
@@ -82,59 +83,74 @@ def is_valid_rainbow_matching(fam: ColoredFamily, rm: RainbowMatching) -> bool:
     return True
 
 
-def find_matching(
-    h: Hypergraph, size: int, budget: Budget | None = None
-) -> Matching | None:
-    """``size`` pairwise-disjoint edges of ``h`` in pick order, or None if
-    it has none.
+def _longer_matchings(
+    h: Hypergraph, size: int, budget: Budget | None
+) -> Iterator[tuple[int, ...]]:
+    """The ν search: in depth-first order, each matching of ``h`` with at
+    least ``size`` edges and more edges than any yielded before it, in
+    pick order.
 
-    A node ``(avail, drop, need, picks)`` is the parent's edge list, the
-    mask this node removes from it (its picked edge, the pivot vertex it
-    drops, or 0 at the root), the number of edges still needed and the
-    edges picked so far.  A pop spends one node, filters, prunes, and
-    pushes the child that drops the pivot below the children that pick
-    each edge through it, the first edge on top: the order of a search
-    that tries each pick before dropping the vertex.  Filtering at the
-    pop, not the push, leaves the siblings of a match unfiltered; on the
-    benchmark's ν hosts a version that filtered each child as it was
-    pushed took about 1.3 times as long.  The one prune is on the
-    covered vertices: every edge has r of them, so a list shorter than
-    ``need`` is pruned there too.
+    A node ``(avail, drop, picks)`` is the parent's edge list, the mask
+    this node removes from it (its picked edge, the pivot vertex it
+    drops, or 0 at the root) and the edges picked so far.  A pop spends
+    one node, filters, prunes, and pushes the child that drops the pivot
+    below the children that pick each edge through it, the first edge on
+    top: the order of a search that tries each pick before dropping the
+    vertex.  Filtering at the pop, not the push, leaves the siblings of a
+    match unfiltered; on the benchmark's ν hosts a version that filtered
+    each child as it was pushed took about 1.3 times as long.  The one
+    prune is on the covered vertices: a node whose picks plus
+    floor(covered/r) fall short of the next size to yield cannot reach
+    it, and since every edge has r of them, this also cuts a node with
+    too few edges.
     """
     budget = budget or Budget()
     r = h.r
-    stack = [(h.edges, 0, size, ())]
+    stack = [(h.edges, 0, ())]
     while stack:
-        avail, drop, need, picks = stack.pop()
+        avail, drop, picks = stack.pop()
         budget.spend()
-        if need <= 0:
-            return Matching(picks)
+        if len(picks) >= size:
+            yield picks
+            size = len(picks) + 1
         avail = [f for f in avail if not f & drop]
         cover = 0
         for e in avail:
             cover |= e
-        if cover.bit_count() // r < need:
+        if len(picks) + cover.bit_count() // r < size:
             continue
         vbit = 1 << (cover.bit_length() - 1)
-        stack.append((avail, vbit, need, picks))
-        need -= 1
+        stack.append((avail, vbit, picks))
         for e in reversed(avail):
             if e & vbit:
-                stack.append((avail, e, need, picks + (e,)))
-    return None
+                stack.append((avail, e, picks + (e,)))
+
+
+def find_matching(
+    h: Hypergraph, size: int, budget: Budget | None = None
+) -> Matching | None:
+    """``size`` pairwise-disjoint edges of ``h`` in pick order, or None if
+    it has none: the search stops at the first matching it yields."""
+    picks = next(_longer_matchings(h, size, budget), None)
+    return None if picks is None else Matching(picks)
 
 
 def matching_number(
     h: Hypergraph, budget: Budget | None = None
 ) -> tuple[int, Matching]:
-    """Exact ν(h) and a maximum matching witnessing it."""
-    budget = budget or Budget()
-    best = Matching(())
-    while True:
-        found = find_matching(h, len(best) + 1, budget)
-        if found is None:
-            return len(best), best
-        best = found
+    """Exact ν(h) and a maximum matching witnessing it, by one search.
+
+    The search raises its target each time it meets a longer matching,
+    so it prunes every subtree that cannot beat the best so far.  Such a
+    subtree holds no longer matching, so the first size-ν matching in
+    depth-first order is reached, and it is the one ``find_matching(h,
+    ν)`` returns: that search walks the same tree in the same order and
+    prunes only subtrees with no size-ν matching.
+    """
+    best: tuple[int, ...] = ()
+    for best in _longer_matchings(h, 0, budget):
+        pass
+    return len(best), Matching(best)
 
 
 def has_matching_at_most(

@@ -6,15 +6,23 @@ optimized paths are checked against an independent route.
 
 from __future__ import annotations
 
+import warnings
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
 from hyperext.cliques import count_cliques, enumerate_cliques
-from hyperext.core import Budget, Hypergraph, r_subsets
+from hyperext.core import (
+    Budget,
+    Hypergraph,
+    HypergraphFormatError,
+    labels_from_mask,
+    mask_from_labels,
+    r_subsets,
+)
 from hyperext.extremal import ExtremalParams, reaches_regime_threshold, theorem_bound
-from hyperext.matchings import has_matching_at_most
+from hyperext.matchings import Matching, find_matching, has_matching_at_most
 from hyperext.shifting import ShiftTrace, precedes, shift
 
 # one line per acceptance criterion, printed after the run so the
@@ -113,6 +121,111 @@ def find_matching_recursive(
                 found.append(e)
                 return found
     return find_matching_recursive([f for f in avail if not f & vbit], need, r, budget)
+
+
+def matching_number_by_rounds(
+    h: Hypergraph, budget: Budget | None = None
+) -> tuple[int, Matching]:
+    """ν(h) by one ``find_matching`` per target size, raised from 1 until
+    the search fails; the last matching found is the witness."""
+    budget = budget or Budget()
+    best = Matching(())
+    while True:
+        found = find_matching(h, len(best) + 1, budget)
+        if found is None:
+            return len(best), best
+        best = found
+
+
+def from_edge_masks_by_loop(
+    n: int, r: int, masks: Iterable[int], *, strict_duplicates: bool = False
+) -> Hypergraph:
+    """``Hypergraph.from_edge_masks`` as one loop that checks, dedupes
+    and warns edge by edge, then sorts."""
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    full = (1 << n) - 1
+    seen: set[int] = set()
+    out: list[int] = []
+    for m in masks:
+        if m & ~full:
+            raise ValueError(
+                f"edge {labels_from_mask(m)} uses vertices above n={n}"
+            )
+        if m.bit_count() != r:
+            raise ValueError(
+                f"edge {labels_from_mask(m)} has cardinality "
+                f"{m.bit_count()}, expected {r}"
+            )
+        if m in seen:
+            if strict_duplicates:
+                raise ValueError(f"duplicate edge {labels_from_mask(m)}")
+            warnings.warn(
+                f"duplicate edge {labels_from_mask(m)} dropped",
+                stacklevel=2,
+            )
+            continue
+        seen.add(m)
+        out.append(m)
+    out.sort()
+    return Hypergraph(n, r, tuple(out))
+
+
+def parse_by_ints(text: str, *, strict_duplicates: bool = False) -> Hypergraph:
+    """``core.parse`` with every token read by ``int()``, range-checked
+    and turned into a mask on every line, and each edge checked again
+    by ``from_edge_masks_by_loop``."""
+    header: tuple[int, int] | None = None
+    masks: list[int] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            nums = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise HypergraphFormatError(f"line {lineno}: {exc}") from None
+        if header is None:
+            if len(nums) != 2:
+                raise HypergraphFormatError(
+                    f"line {lineno}: header must be 'n r', got {line!r}"
+                )
+            n, r = nums
+            if not 1 <= r <= n:
+                raise HypergraphFormatError(
+                    f"line {lineno}: need 1 <= r <= n, got n={n}, r={r}"
+                )
+            header = (n, r)
+            continue
+        n, r = header
+        if any(v < 1 or v > n for v in nums):
+            raise HypergraphFormatError(
+                f"line {lineno}: vertex label out of range [1, {n}]"
+            )
+        mask = mask_from_labels(nums)
+        if mask.bit_count() != r:
+            raise HypergraphFormatError(
+                f"line {lineno}: edge cardinality {mask.bit_count()} after "
+                f"vertex dedup, expected {r}"
+            )
+        masks.append(mask)
+    if header is None:
+        raise HypergraphFormatError("missing 'n r' header line")
+    try:
+        return from_edge_masks_by_loop(
+            *header, masks, strict_duplicates=strict_duplicates
+        )
+    except ValueError as exc:
+        raise HypergraphFormatError(str(exc)) from None
+
+
+def serialize_by_labels(h: Hypergraph) -> str:
+    """``core.serialize`` with one ``labels_from_mask`` per edge and one
+    ``str()`` per vertex of every edge."""
+    lines = [f"{h.n} {h.r}"]
+    for e in h.edges:
+        lines.append(" ".join(str(v) for v in labels_from_mask(e)))
+    return "\n".join(lines) + "\n"
 
 
 def dominated_sets_recursive(

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from conftest import (
     find_matching_recursive,
     hosts,
+    matching_number_by_rounds,
     naive_matching_number,
     naive_stable_families,
 )
@@ -90,14 +91,16 @@ class TestMatchingNumber:
         with pytest.raises(BudgetExceededError):
             matching_number(h, Budget(5))
 
-    def test_budget_covers_every_round(self):
-        # the star on [6]: round 1 takes 2 nodes, the failing round 2 takes 7
+    def test_budget_covers_the_whole_search(self):
+        # the star on [6]: the root, then one pick and one drop for each
+        # of the vertices 6, 5 and 4 (matching_number_by_rounds spends
+        # 2 + 7 = 9)
         h = build_extremal_family(6, 1, 2, 1)
-        budget = Budget(9)
+        budget = Budget(7)
         assert matching_number(h, budget)[0] == 1
         assert budget.left == 0
         with pytest.raises(BudgetExceededError):
-            matching_number(h, Budget(8))
+            matching_number(h, Budget(6))
         # has_matching_at_most spends from the budget it is handed
         budget = Budget(7)
         assert has_matching_at_most(h, 1, budget) and budget.left == 0
@@ -173,19 +176,21 @@ class CountingBudget(Budget):
         self.spent += 1
 
 
-def assert_search_equals_recursion(h: Hypergraph) -> None:
+def assert_search_equals_recursion(h: Hypergraph) -> int:
     """For every size 0..ν+1, the same matching and the same node count as
-    the recursive search; ``matching_number`` spends the sum of its rounds."""
-    nu, _ = matching_number(h, rounds := CountingBudget())
-    spent = []
+    the recursive search; ``matching_number`` gives the ν and the witness
+    of one search per target size.  Returns the nodes it spent."""
+    one = CountingBudget()
+    nu, wit = matching_number(h, one)
+    assert (nu, wit) == matching_number_by_rounds(h)
     for size in range(nu + 2):
         ours, theirs = CountingBudget(), CountingBudget()
         found = find_matching(h, size, ours)
         want = find_matching_recursive(list(h.edges), size, h.r, theirs)
         assert found == (None if want is None else Matching(tuple(reversed(want))))
         assert ours.spent == theirs.spent
-        spent.append(theirs.spent)
-    assert rounds.spent == sum(spent[1:])
+    assert wit == find_matching(h, nu)
+    return one.spent
 
 
 class TestStackSearch:
@@ -201,9 +206,12 @@ class TestStackSearch:
 
     def test_equals_the_recursion_on_toolkit_sized_hosts(self):
         rng = random.Random(19)
+        spent = 0
         for _ in range(100):
             h = random_hypergraph(rng, rng.randint(26, 30), 3, 0.018)
-            assert_search_equals_recursion(h)
+            spent += assert_search_equals_recursion(h)
+        # matching_number_by_rounds spends 36,711 nodes on these hosts
+        assert spent == 34_780
 
     def test_star_deeper_than_the_recursion_limit(self):
         n = sys.getrecursionlimit() + 100
@@ -215,6 +223,13 @@ class TestStackSearch:
         n = sys.getrecursionlimit() + 100
         h = Hypergraph.complete(n, 1)
         assert sorted(find_matching(h, n).edges) == list(h.edges)
+
+    def test_matching_number_deeper_than_the_recursion_limit(self):
+        # matching_number_by_rounds takes about 100 s here at n = 1,100
+        n = sys.getrecursionlimit() + 100
+        h = Hypergraph.complete(n, 1)
+        nu, wit = matching_number(h)
+        assert nu == n and sorted(wit.edges) == list(h.edges)
 
 
 class TestStableInput:
