@@ -31,18 +31,21 @@ order and the proof.
 
 ``lift(g, n)`` extends a stable family g on [t] to the largest stable
 family on [n] whose trace on [t] is g: an r-set e of [n] is in it iff
-``project(e, t)``, the r-set of [t] whose i-th vertex is
-min(e_i, t - r + i), is in g.  ``lifter(t, n, r)`` lists the r-sets
-that leave [t] and their images once for many families.  A property
-closed under sub-downsets that depends only on the trace on [t], such
-as ν <= k for t = r(k+1), has its maximal families on [n] exactly the
-lifts of those on [t]; the verifier walks [t] alone for that reason.
+π(e), the r-set of [t] whose i-th vertex is min(e_i, t - r + i), is in
+g.  It is built from the other side, as the union of the fibres
+π⁻¹(f) of the edges f of g (``fibre``), each one base and every
+choice of a top block, so no r-set of [n] outside the lift is listed.
+A property closed under sub-downsets that depends only on the trace on
+[t], such as ν <= k for t = r(k+1), has its maximal families on [n]
+exactly the lifts of those on [t]; the verifier walks [t] alone for
+that reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from operator import or_
 from typing import Callable, Container, Iterable, Iterator
 
@@ -240,58 +243,57 @@ def colex_order(
     return elements, position, below, up, down, above
 
 
-def project(e: int, t: int) -> int:
-    """π_t(e): the r-set of [t] whose i-th vertex is min(e_i, t - r + i),
-    for an r-set ``e`` with r <= t.
+def top_run(f: int, t: int) -> int:
+    """The length of the run t, t - 1, ... at the top of the set ``f`` of
+    [t]; for f = [t] it is t."""
+    return t - (~f & ((1 << t) - 1)).bit_length()
 
-    The vertices it lowers are a top block of e: if e_i > t - r + i,
-    then e_{i+1} >= e_i + 1 > t - r + i + 1.  If j of them are lowered,
-    they become t-j+1..t and the rest are at most t - j, so j is the
-    least j >= 0 with at most j vertices of e above t - j.
+
+def fibre(f: int, t: int, n: int) -> Iterator[int]:
+    """π⁻¹(f): the r-sets e of [n] with π(e) = f, for an r-set ``f`` of
+    [t], r <= t <= n, where π(e) is the r-set of [t] whose i-th vertex
+    is min(e_i, t - r + i).
+
+    Let j be the length of the run t, t - 1, ... at the top of f
+    (``top_run``).  Then the fibre is (f without that run) ∪ T for every
+    j-subset T of {t - j + 1, ..., n}, C(n - t + j, j) r-sets, yielded
+    in ``itertools.combinations`` order of T.  Each such e has
+    π(e) = f: t - j is not in f, so the i-th of f's vertices below the
+    run is below t - r + i and π keeps it, and the m-th vertex of T is
+    at least t - j + m, the cap of its coordinate, so π lowers it to
+    t - j + m.  Conversely, if π(e) = f, the i-th vertex of f below the
+    run is below t - r + i, so it is e_i, and each other e_i is at least
+    its cap t - r + i >= t - j + 1.  The run may reach vertex 1
+    (f = [t], t = r), leaving no vertex below it.
     """
-    j = 0
-    while (e >> (t - j)).bit_count() > j:
-        j += 1
-    low = (1 << (t - j)) - 1
-    return (e & low) | ((1 << t) - 1 - low)
-
-
-def lifter(t: int, n: int, r: int) -> Callable[[Hypergraph], Hypergraph]:
-    """ext_n on the stable r-graphs on [t], t <= n: ``lifter(t, n, r)(g)``
-    is ``lift(g, n)``.
-
-    An r-set e of [n] is in ext_n(g) iff π_t(e) (``project``) is in g.
-    π keeps ≺, since each coordinate min(e_i, t - r + i) grows with
-    e_i; π(e) ≺ e; and π is the identity on the r-sets of [t], whose
-    i-th vertex is at most t - r + i.  So {e : π(e) ∈ g} is a downset,
-    as g is one, with trace g on [t], and it holds every downset F with
-    that trace: for e in F, π(e) ≺ e lies in F and inside [t], so in g.
-    The r-sets that leave [t] and their images are listed once, for
-    every family lifted.
-    """
-    if n < t:
-        raise ValueError(f"need t <= n, got t={t}, n={n}")
-    leaving = [(e, project(e, t)) for e in sorted(r_subsets(n, r)) if e >> t]
-
-    def ext(g: Hypergraph) -> Hypergraph:
-        present = g.edge_set
-        return Hypergraph._make(
-            n, r, g.edges + tuple([e for e, f in leaving if f in present])
-        )
-
-    return ext
+    j = top_run(f, t)
+    base = f & ((1 << (t - j)) - 1)
+    for block in combinations(range(t - j, n), j):
+        e = base
+        for v in block:
+            e |= 1 << v
+        yield e
 
 
 def lift(g: Hypergraph, n: int) -> Hypergraph:
     """ext_n(g): the largest downset on [n] whose trace on [g.n] is ``g``.
 
     ``g`` is stable on [t], t = g.n <= n, else ``ValueError``: a family
-    on fewer vertices cannot hold g's edges.  An r-set is in ext_n(g)
-    iff its image under ``project`` is in ``g`` (``lifter`` says why).
-    Every r-set inside [t] precedes every one that leaves [t] in colex
-    order, so the edges come out in colex order.
+    on fewer vertices cannot hold g's edges.  ext_n(g) is the r-sets e
+    of [n] with π(e) in g, so the union of the fibres (``fibre``) of
+    g's edges, sorted into colex order.  π keeps ≺, since each
+    coordinate min(e_i, t - r + i) grows with e_i; π(e) ≺ e; and π is
+    the identity on the r-sets of [t], whose i-th vertex is at most
+    t - r + i.  So {e : π(e) ∈ g} is a downset, as g is one, with trace
+    g on [t], and it holds every downset F with that trace: for e in F,
+    π(e) ≺ e lies in F and inside [t], so in g.  The cost is the size
+    of the lift; no other r-set of [n] is listed.
     """
-    return lifter(g.n, n, g.r)(g)
+    t = g.n
+    if n < t:
+        raise ValueError(f"need t <= n, got t={t}, n={n}")
+    edges = [e for f in g.edges for e in fibre(f, t, n)]
+    return Hypergraph._make(n, g.r, tuple(sorted(edges)))
 
 
 def maximal_edges(h: Hypergraph) -> list[int]:

@@ -29,18 +29,19 @@ is a broken invariant.
 A sweep's unit of work is the (k, r) column, not the cell: every cell
 with n >= t = r(k+1) reads the same walk on [t], and ``_column_pass``
 runs it once for all of them.  Let π(e), for an r-set e of [n], be the
-r-set of [t] whose i-th vertex is min(e_i, t - r + i)
-(``shifting.project``).  Then e lies in ext_n(G), the lift of a
-maximal family G on [t], iff π(e) lies in G.  Each coordinate of π
-grows with e_i, so π keeps ≺; π(e) ≺ e; and π fixes the r-sets of
-[t].  So {e : π(e) ∈ G} is a downset with trace G, hence inside
-ext_n(G), and a downset F with trace G holds π(e) for each e in F, an
-r-set of [t] and so one of G.  So K_s(ext_n(G)) is the sum over f in G
-of c_{n,s}(f) = Σ_{π(e)=f} C(min(e) - 1, s - r), a table on [t] that
-each cell builds once, and a family is lifted only to be a witness or
-to start a regime-III descent.  ``verify_extremal_cell`` is the pass on
-a column of one cell; a column's cells with n < t each take the
-complete r-graph, as ``stable_with_matching_at_most`` says.
+r-set of [t] whose i-th vertex is min(e_i, t - r + i).  Then ext_n(G),
+the lift of a maximal family G on [t], holds the r-sets e with π(e) in
+G (``shifting.lift`` gives the proof): it is the union of the fibres
+π⁻¹(f), f in G, disjoint since π is a map.  So K_s(ext_n(G)) is the sum
+over f in G of c_{n,s}(f), the weight C(min(e) - 1, s - r) summed over
+the fibre of f.  The fibre (``shifting.fibre``) keeps the vertices of f
+below its top run t, t - 1, ... and puts the run's j vertices anywhere
+in {t - j + 1, ..., n}, so c_{n,s}(f) has a closed form on [t]
+(``_span_weights``), and no cell lists the r-sets of [n].  A family is
+lifted only to be a witness or to start a regime-III descent.
+``verify_extremal_cell`` is the pass on a column of one cell; a
+column's cells with n < t each take the complete r-graph, as
+``stable_with_matching_at_most`` says.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .matchings import (
     perfect_matching_patterns,
 )
 from .randgen import random_family_above_edge_threshold
-from .shifting import enumerate_stable, lifter, maximal_edges, project
+from .shifting import enumerate_stable, lift, maximal_edges, top_run
 
 CONFIRMED = "confirmed"
 BOUND_NOT_YET_ACTIVE = "bound-not-yet-active"
@@ -142,7 +143,7 @@ def stable_with_matching_at_most(
       the r-sets e of [n] whose image π(e), the r-set of [t] whose i-th
       vertex is min(e_i, t - r + i), lies in G.  π keeps ≺, π(e) ≺ e
       and π fixes the r-sets of [t], so that set is a downset with trace
-      G, and every downset with trace G lies in it (``shifting.lifter``
+      G, and every downset with trace G lies in it (``shifting.lift``
       gives the proof).  ext_n(G) has ν <= k, its trace on [t] being G,
       and it is maximal: an r-set e that could join it has π(e) ≺ e in
       it, so π(e) ∈ G and e is in it already.  A maximal F on [n] has a
@@ -158,9 +159,9 @@ def stable_with_matching_at_most(
     reaches, maximal or not.  The ν test runs no search, and the lift
     runs once per family the walk has charged, so neither is charged,
     and the budget the walk needs does not depend on n >= t.  For n < t
-    the complete r-graph costs one node.  The r-sets that leave [t] and
-    their images are listed once per call, for every lift
-    (``shifting.lifter``).  k >= 0.
+    the complete r-graph costs one node.  Each lift is the union of the
+    fibres of its family's edges (``shifting.fibre``), so it lists only
+    its own edges, never the other r-sets of [n].  k >= 0.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got k={k}")
@@ -184,8 +185,7 @@ def stable_with_matching_at_most(
     walk = enumerate_stable(t, r, carried, budget=budget)
     if n == t:
         return walk
-    ext = lifter(t, n, r)
-    return (ext(g) for g in walk)
+    return (lift(g, n) for g in walk)
 
 
 def _clique_weight(e: int, r: int, s: int) -> int:
@@ -290,18 +290,21 @@ def verify_extremal_cell(
 class _Cell:
     """One cell of a column pass: its bound, then what the pass found.
 
-    It is made before the pass, so a cell whose parameters raise does so
-    before any walk.  The pass gives it ``table``, its c_{n,s} on the
-    span (``_span_weights``), and ``lift``, ext_n on the span.  ``best``
-    is the first family on the span whose lift attains ``observed``, and
-    ``descended`` holds the families the regime-III descent has valued.
+    It is made before the pass, so a cell whose parameters raise, n < r
+    among them, does so before any walk.  ``table`` is its c_{n,s} on
+    the span min(n, r(k+1)) (``_span_weights``), in closed form.
+    ``best`` is the first family on the span whose lift attains
+    ``observed``, and ``descended`` holds the families the regime-III
+    descent has valued.  Only ``best`` and the families the descent
+    starts from are lifted to [n].
     """
 
     def __init__(self, n: int, k: int, r: int, s: int):
         self.params = ExtremalParams(n=n, k=k, r=r, s=s)
         self.bound, self.regime, self.gap = theorem_bound(self.params)
-        self.table: dict[int, int] = {}
-        self.lift = None
+        if n < r:
+            raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+        self.table = _span_weights(min(n, r * (k + 1)), n, r, s)
         self.observed = -1
         self.best: Hypergraph | None = None
         self.second_best = 0
@@ -322,7 +325,7 @@ class _Cell:
         elif self.regime == "III":
             s = self.params.s
             for _, below in _descend(
-                self.lift(g), val, s, self.bound, self.descended, budget
+                lift(g, self.params.n), val, s, self.bound, self.descended, budget
             ):
                 self.nodes += 1
                 if below < self.bound:
@@ -336,7 +339,7 @@ class _Cell:
         a = params.level
         past_threshold = reaches_regime_threshold(params)
         observed, bound = self.observed, self.bound
-        witness = None if self.best is None else self.lift(self.best)
+        witness = None if self.best is None else lift(self.best, n)
         if witness is not None and (
             not has_matching_at_most(witness, k, budget)
             or count_cliques(witness, s).total != observed
@@ -365,14 +368,30 @@ class _Cell:
         )
 
 
-def _span_weights(
-    images: list[tuple[int, int]], r: int, s: int
-) -> dict[int, int]:
-    """c_{n,s}(f) = Σ C(min(e) - 1, s - r) over the r-sets e of [n] with
-    π(e) = f, for each r-set f of the span, from the pairs (e, π(e))."""
-    table: dict[int, int] = {}
-    for e, f in images:
-        table[f] = table.get(f, 0) + _clique_weight(e, r, s)
+def _span_weights(t: int, n: int, r: int, s: int) -> dict[int, int]:
+    """c_{n,s}(f) = Σ C(min(e) - 1, s - r) over the fibre of f, the
+    r-sets e of [n] with π(e) = f (``shifting.fibre``), for each r-set
+    f of [t], t <= n, in closed form.
+
+    Let j be the length of f's top run t, t - 1, ... (``top_run``).  If
+    j < r, every member of the fibre keeps f's least vertex, and the
+    fibre has C(n - t + j, j) members.  Else f is the top r-set, its
+    fibre is the r-sets of {t - r + 1, ..., n}, and C(n - m, r - 1) of
+    them have least vertex m.  Every weight goes through
+    ``_clique_weight``.
+    """
+    table = {}
+    for f in r_subsets(t, r):
+        j = top_run(f, t)
+        if j < r:
+            table[f] = comb(n - t + j, j) * _clique_weight(f, r, s)
+        else:
+            table[f] = sum(
+                [
+                    comb(n - m, r - 1) * _clique_weight(1 << (m - 1), r, s)
+                    for m in range(t - r + 1, n - r + 2)
+                ]
+            )
     return table
 
 
@@ -384,29 +403,17 @@ def _column_pass(
     Each span min(n, r(k+1)) is walked once for all its cells
     (``stable_with_matching_at_most``).  A cell values a family G on its
     span by its table: K_s^r(ext_n(G)) = Σ_{f∈G} c_{n,s}(f)
-    (``_span_weights``), since the edges of ext_n(G) are the r-sets e of
-    [n] with π(e) in G (``shifting.lifter``).  Each n lists its pairs
-    (e, π(e)) once, in one pass over the r-sets of [n], and each cell
-    sums its table from them.  Only the witnesses and the families the
-    regime-III descent starts from are lifted to [n].  ``budget`` is
-    spent as in ``verify_extremal_cell``, each walk once for all its
-    cells, and every report's ``millis`` runs from the pass's start.
+    (``_span_weights``), since ext_n(G) is the union of the fibres of
+    G's edges (``shifting.lift``).  ``budget`` is spent as in
+    ``verify_extremal_cell``, each walk once for all its cells, and
+    every report's ``millis`` runs from the pass's start.
     """
     start = time.monotonic()
     budget = budget or Budget()
     k, r = cells[0].params.k, cells[0].params.r
-    t = r * (k + 1)
-    per_n: dict[int, tuple] = {}
     spans: dict[int, list[_Cell]] = {}
     for cell in cells:
-        n = cell.params.n
-        span = min(n, t)
-        if n not in per_n:
-            images = [(e, project(e, span)) for e in r_subsets(n, r)]
-            per_n[n] = images, lifter(span, n, r)
-        images, cell.lift = per_n[n]
-        cell.table = _span_weights(images, r, cell.params.s)
-        spans.setdefault(span, []).append(cell)
+        spans.setdefault(min(cell.params.n, r * (k + 1)), []).append(cell)
     for span, group in spans.items():
         for g in stable_with_matching_at_most(span, r, k, budget=budget):
             for cell in group:

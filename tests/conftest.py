@@ -331,6 +331,23 @@ def lift_by_covers(g: Hypergraph, n: int) -> Hypergraph:
     return Hypergraph._make(n, r, tuple(edges))
 
 
+def project(e: int, t: int) -> int:
+    """π_t(e): the r-set of [t] whose i-th vertex is min(e_i, t - r + i),
+    for an r-set ``e`` with r <= t, one r-set at a time.  The library
+    goes the other way, from f to its fibre π⁻¹(f).
+
+    The vertices it lowers are a top block of e: if e_i > t - r + i,
+    then e_{i+1} >= e_i + 1 > t - r + i + 1.  If j of them are lowered,
+    they become t-j+1..t and the rest are at most t - j, so j is the
+    least j >= 0 with at most j vertices of e above t - j.
+    """
+    j = 0
+    while (e >> (t - j)).bit_count() > j:
+        j += 1
+    low = (1 << (t - j)) - 1
+    return (e & low) | ((1 << t) - 1 - low)
+
+
 def shift_by_edges(h: Hypergraph, i: int, j: int) -> Hypergraph:
     """S_ij by its definition, one edge at a time: an edge that holds j
     and misses i goes to its target, with i in place of j, unless the

@@ -15,6 +15,7 @@ from conftest import (
     nu_at_most_from_scratch,
     nu_blockers_from_scratch,
     nu_blockers_through,
+    project,
     shift_by_edges,
     stabilize_by_shifts,
 )
@@ -34,12 +35,11 @@ from hyperext.shifting import (
     _dominated_sets,
     colex_order,
     enumerate_stable,
+    fibre,
     is_stable,
     lift,
-    lifter,
     maximal_edges,
     precedes,
-    project,
     shift,
     stabilize,
     stable_closure_check,
@@ -272,20 +272,36 @@ class TestLift:
     @pytest.mark.parametrize(
         "t, r", [(3, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (6, 4)]
     )
-    def test_projection_equals_the_cover_test(self, t, r):
+    def test_fibres_equal_the_cover_test(self, t, r):
         families = list(naive_stable_families(t, r))
         for n in range(t, t + 4):
-            ext = lifter(t, n, r)
             for g in families:
-                want = lift_by_covers(g, n)
-                assert ext(g) == want == lift(g, n), (g, n)
+                assert lift(g, n) == lift_by_covers(g, n), (g, n)
 
     def test_fewer_vertices_than_the_trace_rejected(self):
         # a family on [4] cannot hold the edges of K_6 through vertex 6
         with pytest.raises(ValueError, match="t <= n"):
             lift(Hypergraph.complete(6, 2), 4)
-        with pytest.raises(ValueError, match="t <= n"):
-            lifter(6, 4, 2)
+
+
+class TestFibre:
+    """The fibres π⁻¹(f) of the r-sets f of [t], against π itself, the
+    oracle ``project``."""
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_fibres_partition_the_r_sets_of_n(self, r):
+        # t = r included: the one r-set of [t] is a run down to vertex 1
+        for t in range(r, 9):
+            span = sorted(r_subsets(t, r))
+            for n in range(t, t + 5):
+                fibres = {f: list(fibre(f, t, n)) for f in span}
+                members = [e for part in fibres.values() for e in part]
+                # disjoint, and together every r-set of [n]
+                assert sorted(members) == sorted(r_subsets(n, r)), (t, n)
+                for f, part in fibres.items():
+                    assert all(project(e, t) == f for e in part), (f, t, n)
+                for e in r_subsets(n, r):
+                    assert e in fibres[project(e, t)], (e, t, n)
 
 
 class TestProject:

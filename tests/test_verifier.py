@@ -1,6 +1,8 @@
 import gc
 import importlib.util
 import json
+import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from conftest import (
     naive_matching_number,
     naive_stable_families,
     nu_at_most_from_scratch,
+    project,
     prop32_families,
 )
 from hyperext import verifier
@@ -46,7 +49,6 @@ from hyperext.shifting import (
     is_stable,
     lift,
     precedes,
-    project,
     stabilize,
     stable_closure_check,
 )
@@ -333,23 +335,48 @@ class TestSpanTable:
     """K_s of a lifted family from the table on the span, against the
     clique walk on the lift."""
 
-    def test_every_maximal_family_of_four_columns(self):
+    @staticmethod
+    def _pairs(columns, ns):
+        """Check every maximal family of each column (k, r) at each n of
+        ``ns(t)`` and every s of regimes I, II and III; return the number
+        of (family, n, s) checked."""
         pairs = 0
-        for k, r in [(1, 3), (2, 2), (1, 4), (2, 3)]:
+        for k, r in columns:
             t = r * (k + 1)
             families = list(stable_with_matching_at_most(t, r, k))
-            for n in range(t, t + 4):
-                images = [(e, project(e, t)) for e in r_subsets(n, r)]
+            for n in ns(t):
                 lifts = [lift(g, n) for g in families]
-                # every s of regimes I, II and III
                 for s in range(r, r * k + r):
-                    table = verifier._span_weights(images, r, s)
+                    table = verifier._span_weights(t, n, r, s)
                     for g, h in zip(families, lifts):
                         got = sum(table[f] for f in g.edges)
                         assert got == count_cliques(h, s).total, (g, n, s)
                         pairs += 1
+        return pairs
+
+    def test_every_maximal_family_of_four_columns(self):
+        pairs = self._pairs(
+            [(1, 3), (2, 2), (1, 4), (2, 3)], lambda t: range(t, t + 4)
+        )
         # 6, 3, 72 and 68 maximal families, times the s, times 4 n
         assert pairs == 4 * (6 * 3 + 3 * 4 + 72 * 4 + 68 * 6) == 2904
+
+    def test_far_n_where_the_top_fibre_holds_most_r_sets(self):
+        # at n = 2t and 3t most r-sets of [n] leave [t] at the top
+        pairs = self._pairs([(1, 3), (2, 2)], lambda t: (2 * t, 3 * t))
+        assert pairs == 2 * (6 * 3 + 3 * 4) == 60
+
+    @pytest.mark.parametrize("k, r", [(0, 1), (0, 3), (1, 2), (1, 3), (2, 2)])
+    def test_table_equals_the_sum_over_each_fibre(self, k, r):
+        # the closed form against the weights summed over the r-sets of
+        # [n], each taken to its image under π (k = 0: t = r)
+        t = r * (k + 1)
+        for n in (t, t + 1, t + 3, 2 * t + 1):
+            for s in range(r, r + 4):
+                want = {f: 0 for f in r_subsets(t, r)}
+                for e in r_subsets(n, r):
+                    want[project(e, t)] += verifier._clique_weight(e, r, s)
+                assert verifier._span_weights(t, n, r, s) == want, (n, s)
 
     def test_the_descent_starts_from_the_lift(self, monkeypatch):
         # one column pass over four regime-III cells: each descends from
@@ -367,6 +394,42 @@ class TestSpanTable:
         for h in starts:
             trace = tuple([e for e in h.edges if not e >> 6])
             assert h == lift(Hypergraph._make(6, 3, trace), h.n)
+
+
+class TestNoListingOfN:
+    """A cell lists the r-sets of [t] only, never those of [n]."""
+
+    @staticmethod
+    def _spy_r_subsets(monkeypatch):
+        calls = []
+        for name, module in list(sys.modules.items()):
+            real = getattr(module, "r_subsets", None)
+            if name.startswith("hyperext") and real is not None:
+
+                def spy(n, r, real=real):
+                    calls.append(n)
+                    return real(n, r)
+
+                monkeypatch.setattr(module, "r_subsets", spy)
+        return calls
+
+    @pytest.mark.parametrize("cell", [(1100, 1, 2, 2), (96, 2, 3, 5)])
+    def test_r_subsets_only_on_the_span(self, monkeypatch, cell):
+        n, k, r, s = cell
+        calls = self._spy_r_subsets(monkeypatch)
+        rep = verify_extremal_cell(*cell)
+        assert rep.status == CONFIRMED
+        assert calls and max(calls) <= r * (k + 1)
+
+    def test_far_cell_stays_small(self):
+        tracemalloc.start()
+        try:
+            rep = verify_extremal_cell(1100, 1, 2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.observed_max == 1099  # the star at vertex 1
+        assert peak < 20 * 2**20
 
 
 def _assert_budget_needed(verify, cell, need):
@@ -723,6 +786,20 @@ class TestSweep:
         assert next(reports).cell == {"n": 6, "k": 1, "r": 2, "s": 2}
         assert next(reports).cell == {"n": 6, "k": 2, "r": 2, "s": 2}
         with pytest.raises(ValueError, match="must be positive"):
+            next(reports)
+
+    def test_fewer_vertices_than_r_rejected_before_any_walk(self, monkeypatch):
+        def no_call(*args, **kwargs):
+            raise AssertionError("a walk or a pool started")
+
+        monkeypatch.setattr(verifier, "stable_with_matching_at_most", no_call)
+        monkeypatch.setattr(verifier, "_pooled", no_call)
+        with pytest.raises(ValueError, match=r"r <= n, got r=3, n=2"):
+            verify_extremal_cell(2, 1, 3, 3)
+        # the first cell in key order raises, and the (1, 5) column with
+        # its long walk never starts
+        reports = run_extremal_sweep([(2, 1, 3, 3), (10, 1, 5, 7)], jobs=2)
+        with pytest.raises(ValueError, match=r"r <= n, got r=3, n=2"):
             next(reports)
 
     @pytest.mark.parametrize("jobs", [0, -3])
