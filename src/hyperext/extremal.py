@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cliques import count_cliques
+from .cliques import clique_census
 from .core import ColoredFamily, Hypergraph, r_subsets
 
 
@@ -171,8 +171,10 @@ def binomial_inequality_suite(
     (3) C(a,c) <= ((a-c)/(b-c))^c C(b,c), needs b > c
     (4) C(a,c) <= (ea/b)^c C(b,c)   (5) (1+x)^p <= 1 + p^2 x, 0 < x <= 1/p
 
-    Every verdict is exact: (2), (3) and (5) in rational arithmetic,
-    (1) and (4), which involve powers of e, by ``_exceeds_e_power``.
+    Every verdict is exact: (2) and (3) by integer cross-multiplication,
+    C(b,c)·a^c <= b^c·C(a,c) and C(a,c)·(b-c)^c <= (a-c)^c·C(b,c);
+    (5) in rational arithmetic; (1) and (4), which involve powers of e,
+    by ``_exceeds_e_power``.
     """
     out: list[InequalityVerdict] = []
     pre_ok = a >= b >= c >= 0
@@ -193,14 +195,14 @@ def binomial_inequality_suite(
             )
         else:
             ac, bc = binom(a, c), binom(b, c)
-            # (2)
-            holds = Fraction(bc) <= Fraction(b, a) ** c * ac
+            # (2), times a^c > 0
+            holds = bc * a**c <= b**c * ac
             out.append(InequalityVerdict("eq2", holds))
-            # (3)
+            # (3), times (b-c)^c > 0
             if b <= c:
                 out.append(InequalityVerdict("eq3", None, "needs b > c"))
             else:
-                holds = Fraction(ac) <= Fraction(a - c, b - c) ** c * bc
+                holds = ac * (b - c) ** c <= (a - c) ** c * bc
                 out.append(InequalityVerdict("eq3", holds))
             # (4)
             holds = not _exceeds_e_power(ac * b**c, a**c * bc, c)
@@ -260,7 +262,8 @@ def rainbow_hypothesis_check(fam: ColoredFamily, t: int) -> list[bool]:
     """Per color: does some s in [r, t] have K_s^r(F_i) > K_s^r(F_{n,k-1,1})?
 
     k is the number of colors.  The reference count uses the closed form;
-    strict inequality is required.
+    strict inequality is required.  Each color's counts for s = r..t
+    come from one ``clique_census`` walk.
     """
     n, r, k = fam.n, fam.r, fam.k
     if not r <= t <= k + r - 2:
@@ -271,10 +274,6 @@ def rainbow_hypothesis_check(fam: ColoredFamily, t: int) -> list[bool]:
     }
     verdicts = []
     for member in fam.members:
-        verdicts.append(
-            any(
-                count_cliques(member, s).total > reference[s]
-                for s in range(r, t + 1)
-            )
-        )
+        counts = clique_census(member, t)
+        verdicts.append(any(counts[s] > reference[s] for s in reference))
     return verdicts

@@ -6,8 +6,11 @@ optimized paths are checked against an independent route.
 
 from __future__ import annotations
 
+import importlib.util
 import warnings
+from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
@@ -15,14 +18,26 @@ from hypothesis import strategies as st
 from hyperext.cliques import count_cliques, enumerate_cliques
 from hyperext.core import (
     Budget,
+    ColoredFamily,
     Hypergraph,
     HypergraphFormatError,
     labels_from_mask,
     mask_from_labels,
     r_subsets,
 )
-from hyperext.extremal import ExtremalParams, reaches_regime_threshold, theorem_bound
-from hyperext.matchings import Matching, find_matching, has_matching_at_most
+from hyperext.extremal import (
+    ExtremalParams,
+    binom,
+    closed_form_clique_count,
+    reaches_regime_threshold,
+    theorem_bound,
+)
+from hyperext.matchings import (
+    Matching,
+    RainbowMatching,
+    find_matching,
+    has_matching_at_most,
+)
 from hyperext.shifting import ShiftTrace, precedes, shift
 
 # one line per acceptance criterion, printed after the run so the
@@ -55,6 +70,36 @@ def hosts(draw, max_edges: int | None = None) -> Hypergraph:
             st.lists(st.sampled_from(universe), unique=True, max_size=max_edges)
         )
     return Hypergraph.from_edge_masks(n, r, edges)
+
+
+@st.composite
+def colored_families(draw) -> ColoredFamily:
+    """Random coloured r-graphs: r in 1..3, n <= 8 and k in 1..5 colours,
+    each colour a copy of an earlier colour or a fresh edge list (possibly
+    empty) inside a window of consecutive vertices, so that colours cover
+    different vertex sets."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r, 8))
+    members: list[Hypergraph] = []
+    for _ in range(draw(st.integers(1, 5))):
+        if members and draw(st.booleans()):
+            members.append(draw(st.sampled_from(members)))
+            continue
+        lo = draw(st.integers(0, n - r))
+        hi = draw(st.integers(lo + r, n))
+        universe = [e << lo for e in r_subsets(hi - lo, r)]
+        edges = draw(st.lists(st.sampled_from(universe), unique=True, max_size=12))
+        members.append(Hypergraph.from_edge_masks(n, r, edges))
+    return ColoredFamily(n, r, tuple(members))
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark, loaded from its file under perfbench/."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def naive_clique_count(h: Hypergraph, s: int) -> int:
@@ -135,6 +180,63 @@ def matching_number_by_rounds(
         if found is None:
             return len(best), best
         best = found
+
+
+def _rainbow_picks_plain(
+    fam: ColoredFamily,
+    order: list[int],
+    picks: list[tuple[int, int]],
+    used: int,
+    budget: Budget,
+) -> bool:
+    budget.spend()
+    pos = len(picks)
+    if pos == fam.k:
+        return True
+    ci = order[pos]
+    for e in fam.members[ci].edges:
+        if not e & used:
+            picks.append((ci + 1, e))
+            if _rainbow_picks_plain(fam, order, picks, used | e, budget):
+                return True
+            picks.pop()
+    return False
+
+
+def rainbow_matching_plain(
+    fam: ColoredFamily, budget: Budget | None = None
+) -> RainbowMatching | None:
+    """The rainbow search as plain backtracking, with no memo: colours in
+    ascending edge-count order, each colour's edges in their order, one
+    budget node per call."""
+    order = sorted(range(fam.k), key=lambda i: (len(fam.members[i].edges), i))
+    picks: list[tuple[int, int]] = []
+    if _rainbow_picks_plain(fam, order, picks, 0, budget or Budget()):
+        picks.sort()
+        return RainbowMatching(tuple(picks))
+    return None
+
+
+def rainbow_hypothesis_by_counts(fam: ColoredFamily, t: int) -> list[bool]:
+    """``rainbow_hypothesis_check`` with one ``count_cliques`` walk per s."""
+    n, r, k = fam.n, fam.r, fam.k
+    reference = {
+        s: closed_form_clique_count(n, k - 1, r, 1, s) if k >= 2 else 0
+        for s in range(r, t + 1)
+    }
+    return [
+        any(count_cliques(m, s).total > reference[s] for s in range(r, t + 1))
+        for m in fam.members
+    ]
+
+
+def binomial_estimates_by_fractions(a: int, b: int, c: int) -> tuple:
+    """Estimates (2) and (3) of ``binomial_inequality_suite`` in rational
+    arithmetic, for a >= b >= c >= 1; (3) is None unless b > c."""
+    ac, bc = binom(a, c), binom(b, c)
+    eq2 = Fraction(bc) <= Fraction(b, a) ** c * ac
+    eq3 = Fraction(ac) <= Fraction(a - c, b - c) ** c * bc if b > c else None
+    return eq2, eq3
 
 
 def from_edge_masks_by_loop(

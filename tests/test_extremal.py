@@ -10,7 +10,11 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from conftest import naive_clique_count
+from conftest import (
+    binomial_estimates_by_fractions,
+    naive_clique_count,
+    rainbow_hypothesis_by_counts,
+)
 from hyperext.cliques import count_cliques
 from hyperext.core import labels_from_mask
 from hyperext.extremal import (
@@ -186,6 +190,26 @@ class TestInequalities:
         eq5 = next(v for v in suite if v.name == "eq5")
         assert eq5.holds is None
 
+    @staticmethod
+    def assert_eq2_eq3_match_fractions(a, b, c):
+        verdicts = {v.name: v.holds for v in binomial_inequality_suite(a, b, c)}
+        eq2, eq3 = binomial_estimates_by_fractions(a, b, c)
+        assert (verdicts["eq2"], verdicts["eq3"]) == (eq2, eq3), (a, b, c)
+
+    def test_eq2_eq3_match_fractions_on_grid(self):
+        for a in range(1, 31):
+            for b in range(1, a + 1):
+                for c in range(1, b + 1):
+                    self.assert_eq2_eq3_match_fractions(a, b, c)
+
+    def test_eq2_eq3_match_fractions_on_toolkit_sizes(self):
+        # drawn as the benchmark's toolkit draws its ineq calls
+        rng = random.Random(23)
+        for _ in range(500):
+            a = rng.randint(1000, 5000)
+            b = rng.randint(a // 4, a // 2)
+            self.assert_eq2_eq3_match_fractions(a, b, rng.randint(1, b - 1))
+
     def test_tightness_near_equality(self):
         # eq2 with b = a is equality; must still report holds
         suite = binomial_inequality_suite(7, 7, 3)
@@ -275,21 +299,20 @@ class TestRainbowHypothesis:
             rainbow_hypothesis_check(fam, 5)
 
     def test_agrees_with_direct_comparison(self):
+        # one census per colour against one count_cliques per s
         rng = random.Random(30)
         from hyperext.randgen import random_hypergraph
 
-        for _ in range(30):
-            n, r, k, t = 8, 2, 3, 3
-            members = tuple(random_hypergraph(rng, n, r) for _ in range(k))
-            fam = ColoredFamily(n, r, members)
-            got = rainbow_hypothesis_check(fam, t)
-            for member, verdict in zip(members, got):
-                direct = any(
-                    count_cliques(member, s).total
-                    > closed_form_clique_count(n, k - 1, r, 1, s)
-                    for s in range(r, t + 1)
-                )
-                assert verdict == direct
+        for _ in range(40):
+            r = rng.randint(1, 3)
+            k = rng.randint(2, 4)
+            n = rng.randint(r + 1, 9)
+            fam = ColoredFamily(
+                n, r, tuple(random_hypergraph(rng, n, r) for _ in range(k))
+            )
+            for t in range(r, k + r - 1):
+                want = rainbow_hypothesis_by_counts(fam, t)
+                assert rainbow_hypothesis_check(fam, t) == want
 
 
 def test_library_needs_no_runtime_dependency():

@@ -10,11 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import (
+    colored_families,
     find_matching_recursive,
     hosts,
     matching_number_by_rounds,
     naive_matching_number,
     naive_stable_families,
+    perfbench_module,
+    rainbow_matching_plain,
 )
 from hyperext.core import (
     Budget,
@@ -38,6 +41,7 @@ from hyperext.matchings import (
     matching_number,
     perfect_matching_patterns,
 )
+from hyperext import matchings, verifier
 from hyperext.randgen import random_hypergraph
 from hyperext.shifting import precedes, shift
 
@@ -388,6 +392,100 @@ class TestRainbow:
             rm = find_rainbow_matching(fam)
             assert rm is not None
             assert is_valid_rainbow_matching(fam, rm)
+
+
+def boundary_family(n: int, k: int, r: int) -> ColoredFamily:
+    """k copies of F_{n,k-1,1}: their union has ν <= k-1, so there is no
+    rainbow matching and the search must exhaust."""
+    return ColoredFamily(n, r, (build_extremal_family(n, k - 1, r, 1),) * k)
+
+
+def spend_per_rainbow_node(monkeypatch, budget: Budget) -> None:
+    """Spend one node of ``budget`` per node of the rainbow search, which
+    reaches every node through the module's name ``_rainbow_picks``."""
+    search = matchings._rainbow_picks
+
+    def spending(*args):
+        budget.spend()
+        return search(*args)
+
+    monkeypatch.setattr(matchings, "_rainbow_picks", spending)
+
+
+class TestRainbowMemo:
+    """The memoised rainbow search returns what plain backtracking does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(colored_families())
+    @example(ColoredFamily(3, 1, (Hypergraph(3, 1, ()),)))
+    @example(ColoredFamily(3, 1, (Hypergraph.complete(3, 1),)))
+    @example(ColoredFamily(4, 2, (Hypergraph.complete(4, 2),) * 3))
+    @example(ColoredFamily(4, 2, (Hypergraph.complete(4, 2), Hypergraph(4, 2, ()))))
+    # a key refuted at one level may hold at another: {4, 5} is refuted
+    # for the last two colours, and the last colour alone avoids it with 3
+    @example(
+        ColoredFamily(
+            7,
+            1,
+            tuple(
+                Hypergraph.from_edges(7, 1, [(v,) for v in vs])
+                for vs in ((5, 6), (4, 5), (3, 4, 5), (4, 5))
+            ),
+        )
+    )
+    def test_equals_the_plain_search(self, fam):
+        assert find_rainbow_matching(fam) == rainbow_matching_plain(fam)
+
+    def test_equals_the_plain_search_on_toolkit_families(self):
+        toolkit = perfbench_module("toolkit")
+        for seed in (1, 2, 3):
+            for kind, args in toolkit.generate(seed):
+                if kind == "rainbow":
+                    fam, planted = args
+                    rm = find_rainbow_matching(fam)
+                    assert rm == rainbow_matching_plain(fam)
+                    assert (rm is not None) == planted
+
+    @pytest.mark.parametrize("n, k, r", [(9, 3, 3), (12, 4, 3), (12, 5, 2)])
+    def test_boundary_families_have_none(self, n, k, r):
+        fam = boundary_family(n, k, r)
+        assert find_rainbow_matching(fam) is None
+        assert rainbow_matching_plain(fam) is None
+
+    def test_node_count_on_an_unplanted_toolkit_family(self, monkeypatch):
+        toolkit = perfbench_module("toolkit")
+        fam = next(
+            args[0]
+            for kind, args in toolkit.generate(1)
+            if kind == "rainbow" and not args[1]
+        )
+        counted, plain = CountingBudget(), CountingBudget()
+        spend_per_rainbow_node(monkeypatch, counted)
+        assert find_rainbow_matching(fam) is None
+        assert rainbow_matching_plain(fam, plain) is None
+        assert (counted.spent, plain.spent) == (1531, 1934)
+
+    def test_key_drops_vertices_no_later_colour_covers(self, monkeypatch):
+        # each pick of the first colour uses 9 and one of 1, 2, 3, which
+        # the two stars on {5, ..., 8} never cover: one refutation serves
+        # all three picks
+        star = Hypergraph.from_edges(9, 2, [(5, 6), (5, 7), (5, 8)])
+        first = Hypergraph.from_edges(9, 2, [(1, 9), (2, 9), (3, 9)])
+        counted, plain = CountingBudget(), CountingBudget()
+        fam = ColoredFamily(9, 2, (first, star, star))
+        spend_per_rainbow_node(monkeypatch, counted)
+        assert find_rainbow_matching(fam) is None
+        assert rainbow_matching_plain(fam, plain) is None
+        assert (counted.spent, plain.spent) == (7, 13)
+
+    def test_boundary_cell_past_the_plain_search(self, monkeypatch):
+        # 57,583 nodes with the memo, 23,604,484 with the plain search
+        limit = 100_000
+        with pytest.raises(BudgetExceededError):
+            rainbow_matching_plain(boundary_family(14, 7, 2), Budget(limit))
+        spend_per_rainbow_node(monkeypatch, Budget(limit))
+        rep = verifier.verify_rainbow_cell(14, 7, 2, 2, trials=0)
+        assert rep.status == "confirmed"
 
 
 class TestGreedyHighDegree:

@@ -1,10 +1,8 @@
 import gc
-import importlib.util
 import json
 import sys
 import tracemalloc
 from math import comb
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +18,7 @@ from conftest import (
     naive_matching_number,
     naive_stable_families,
     nu_at_most_from_scratch,
+    perfbench_module,
     project,
     prop32_families,
 )
@@ -701,18 +700,9 @@ class TestProposition:
         _assert_budget_needed(verify_proposition_3_2, (9, 2, 3, 5), 2761)
 
 
-def _perfbench_tracing():
-    """The benchmark's tracing module, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_trace_hooks_resolve_on_the_verifier():
     # the benchmark's --trace replaces these verifier globals by name
-    tracing = _perfbench_tracing()
+    tracing = perfbench_module("tracing")
     originals = {name: getattr(verifier, name) for name in tracing.VERIFIER_HOOKS}
     assert all(callable(fn) for fn in originals.values())
     tracer = tracing.Tracer()
