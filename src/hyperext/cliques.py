@@ -3,18 +3,20 @@
 An s-clique is an s-vertex set all of whose r-subsets are edges.  One
 walk serves counting, the per-size census and enumeration.  It is a
 depth-first stack of immutable nodes ``(clique, extenders)``: a clique
-and the bit set of the vertices above its top vertex that extend it to
-a larger clique.  Keeping only extenders above the top vertex builds
-each clique once, by adding its vertices in increasing label order.  For
-each (r-1)-subset of the host's edges a precomputed extension mask
-records which vertices complete it to an edge, so a child's extenders
-cost a handful of bitwise ANDs.  The walk counts the cliques of every
-size in a window, each at its parent, as the number of the parent's
-extenders.  A child is pushed only if it is live: it has extenders, and
-enough of them to reach the window's least size.  The cliques of the top
-size get no node of their own.  Their parent builds them only for
-enumeration, and tallies their vertices for per-vertex counting; plain
-counting holds none of them.
+and the bit set of the vertices above its top vertex that extend it to a
+larger clique.  Keeping only extenders above the top vertex builds each
+clique once, by adding its vertices in increasing label order, as in
+Chiba and Nishizeki's ordered clique listing.  In that order an edge is
+only ever completed by its top vertex, so the precomputed extension
+table has one entry per edge: the mask of its lower r-1 vertices maps to
+the top vertices that complete it.  A child's extenders then cost a
+handful of bitwise ANDs.  The walk counts the cliques of every size in a
+window, each at its parent, as the number of the parent's extenders.  A
+child is pushed only if it is live: it has extenders, and enough of them
+to reach the window's least size.  The cliques of the top size get no
+node of their own.  Their parent builds them only for enumeration, and
+tallies their vertices for per-vertex counting; plain counting holds
+none of them.
 """
 
 from __future__ import annotations
@@ -36,15 +38,19 @@ class CliqueCount:
 
 
 def _extension_table(h: Hypergraph) -> dict[int, int]:
-    """Map each (r-1)-subset mask of an edge to the mask of completing vertices."""
+    """Map each edge's lower r-1 vertices to the top vertices completing them.
+
+    Each edge is one entry: its top vertex, ORed in under the mask of its
+    other r-1 vertices.  That is every entry ``_walk`` reads.  It asks for
+    ``ext[S | v]`` with S an (r-2)-set below v, and keeps only the answers
+    w above v.  An edge is S + v + w with S < v < w in exactly one way: S
+    its lowest r-2 vertices, v its second-highest and w its top vertex.
+    For r = 1 every edge sits under the key 0, the walk's root.
+    """
     ext: dict[int, int] = {}
     for e in h.edges:
-        m = e
-        while m:
-            low = m & -m
-            sub = e ^ low
-            ext[sub] = ext.get(sub, 0) | low
-            m ^= low
+        top = 1 << (e.bit_length() - 1)
+        ext[e ^ top] = ext.get(e ^ top, 0) | top
     return ext
 
 
@@ -64,11 +70,12 @@ def _walk(
     above v extends ``clique | v`` iff it extends the clique and
     completes each (r-1)-set S + v, for S an (r-2)-subset of the clique.
     So the child that adds v keeps the extenders above v that lie in
-    every ``ext[S | v]``.  A child is pushed only if it is live: it has
-    extenders, and with them can still reach size ``lo``.  A node of
-    size ``hi - 1`` pushes no child.  It appends its children to
-    ``found`` and tallies their vertices into ``tally``: each vertex of
-    the clique lies in all of them, and each extender in one.
+    every ``ext[S | v]``, which holds only completing vertices above v.
+    A child is pushed only if it is live: it has extenders, and with
+    them can still reach size ``lo``.  A node of size ``hi - 1`` pushes
+    no child.  It appends its children to ``found`` and tallies their
+    vertices into ``tally``: each vertex of the clique lies in all of
+    them, and each extender in one.
     """
     r = h.r
     counts = dict.fromkeys(range(lo, hi + 1), 0)
@@ -128,7 +135,11 @@ def _walk(
 
 
 def enumerate_cliques(h: Hypergraph, s: int) -> Iterator[int]:
-    """Yield the s-cliques of ``h`` as vertex masks, in colex order."""
+    """An iterator over the s-cliques of ``h`` as vertex masks, in colex order.
+
+    The walk builds and sorts the whole list before this returns, so an s
+    below r raises at the call, not at the first ``next``.
+    """
     if s < h.r:
         raise ValueError(f"clique size s={s} below uniformity r={h.r}")
     found: list[int] = []

@@ -114,6 +114,20 @@ def naive_clique_count(h: Hypergraph, s: int) -> int:
     return total
 
 
+def extension_table_by_subsets(h: Hypergraph) -> dict[int, int]:
+    """Map every (r-1)-subset of every edge to the mask of the vertices
+    that complete it to an edge, below it as well as above."""
+    ext: dict[int, int] = {}
+    for e in h.edges:
+        m = e
+        while m:
+            low = m & -m
+            sub = e ^ low
+            ext[sub] = ext.get(sub, 0) | low
+            m ^= low
+    return ext
+
+
 def naive_matching_number(h: Hypergraph) -> int:
     """The largest number of pairwise disjoint edges, by trying every edge
     subset of each size.

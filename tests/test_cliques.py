@@ -6,7 +6,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import hosts, naive_clique_count
+from conftest import extension_table_by_subsets, hosts, naive_clique_count
+from hyperext import cliques
 from hyperext.cliques import _walk, clique_census, count_cliques, enumerate_cliques
 from hyperext.core import Hypergraph, delete_vertices, mask_from_labels
 from hyperext.extremal import build_extremal_family
@@ -201,3 +202,63 @@ class TestOneWalk:
         h = Hypergraph.complete(n, 1)
         assert count_cliques(h, n).total == 1
         assert list(enumerate_cliques(h, n)) == [h.full_mask]
+
+
+def _walk_outputs(h, lo, hi):
+    found: list[int] = []
+    tally = [0] * h.n
+    return _walk(h, lo, hi, found=found, tally=tally), found, tally
+
+
+def _assert_walk_as_with_subset_table(h, windows):
+    for lo, hi in windows:
+        outputs = _walk_outputs(h, lo, hi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cliques, "_extension_table", extension_table_by_subsets)
+            assert _walk_outputs(h, lo, hi) == outputs
+
+
+def _every_window(h):
+    return [(lo, hi) for lo in range(h.r, h.n + 2) for hi in range(lo, h.n + 2)]
+
+
+class TestExtensionTable:
+    """The table holds one entry per edge, and the walk reads no other."""
+
+    def test_one_entry_per_edge_keyed_below_its_top_vertex(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            r = rng.randint(1, 5)
+            h = random_hypergraph(rng, rng.randint(r, 11), r)
+            ext = cliques._extension_table(h)
+            assert sum(m.bit_count() for m in ext.values()) == len(h.edges)
+            for key, completions in ext.items():
+                x = completions
+                while x:
+                    w = x & -x
+                    x ^= w
+                    assert key | w in h.edge_set
+                    assert w.bit_length() > key.bit_length()
+
+    @settings(max_examples=150, deadline=None)
+    @given(hosts())
+    @example(Hypergraph(5, 2, ()))
+    @example(Hypergraph.complete(7, 1))
+    @example(Hypergraph.complete(8, 3))
+    def test_walk_as_with_every_subset_entry(self, h):
+        # counts, the unsorted found list and the tally of every window
+        # equal those of the walk on the table of every (r-1)-subset
+        _assert_walk_as_with_subset_table(h, _every_window(h))
+
+    def test_walk_as_with_every_subset_entry_beyond_hosts(self):
+        # r = 5 and n up to 11, past the r <= 4, n <= 9 of hosts(), and
+        # hosts sized like the benchmark's clique calls
+        rng = random.Random(42)
+        for _ in range(40):
+            n = rng.randint(5, 11)
+            h = random_hypergraph(rng, n, 5, rng.uniform(0.5, 1.0))
+            _assert_walk_as_with_subset_table(h, _every_window(h))
+        for _ in range(6):
+            h = random_hypergraph(rng, rng.randint(19, 21), 3, 0.45)
+            s = rng.choice((4, 5))
+            _assert_walk_as_with_subset_table(h, [(3, s), (s, s)])
