@@ -51,7 +51,6 @@ from .verifier import (
     run_extremal_sweep,
     verify_extremal_cell,
     verify_proposition_3_2,
-    verify_rainbow_cell,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -33,15 +33,15 @@ walk too.  The search serves everything else, among it the verifier's
 re-check of each witness and ``hyperext nu``.
 
 A rainbow matching of a coloured family picks one edge per colour,
-pairwise disjoint.  ``find_rainbow_matching`` is a depth-first search,
-one level per colour in ascending edge-count order, that remembers the
-vertex sets it has refuted: whether the colours from a level on can be
-completed depends only on the used vertices that their edges could
-cover, so a refuted set is never explored twice.  The memo pays on
-families with no rainbow matching, where the search must exhaust: on
-the boundary family for (n, k, r) = (14, 7, 2), seven copies of
-F_{14,6,1}, it takes 57,583 nodes, where plain backtracking takes
-23,604,484.
+pairwise disjoint.  ``find_rainbow_matching`` is a depth-first search
+over the colours in ascending edge-count order, kept on a stack like
+the ν search, that remembers the vertex sets it has refuted: whether
+the colours from a level on can be completed depends only on the used
+vertices that their edges could cover, so a refuted set is never
+explored twice.  The memo pays on families with no rainbow matching,
+where the search must exhaust: on the boundary family for (n, k, r) =
+(14, 7, 2), seven copies of F_{14,6,1}, it tries 57,582 disjoint
+picks, where plain backtracking tries 23,604,483.
 """
 
 from __future__ import annotations
@@ -227,54 +227,33 @@ def perfect_matching_patterns(r: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(patterns))
 
 
-def _rainbow_picks(
-    levels: list[tuple[tuple[int, ...], int, set[int]]],
-    pos: int,
-    used: int,
-    picks: list[int],
-) -> bool:
-    """Append to ``picks`` one edge per level from ``pos`` on, pairwise
-    disjoint and avoiding ``used``; False, with ``picks`` as it was, if
-    there are none.
-
-    Level i is ``(edges, reach, dead)``: the edges of the i-th colour in
-    search order, the union of the vertices of every edge of levels i
-    and on, and the keys refuted at level i.  Whether the levels from
-    ``pos`` on can be completed depends on ``used`` only through the
-    vertices they could cover, so the key is ``used & reach``.  A key
-    is recorded only when its subtree holds no completion, and a later
-    node with that key returns False without branching: only subtrees
-    with no completion are skipped, so the first completion in
-    depth-first order is the one the plain search finds.  The recursion
-    is one level per colour, so its depth is k.
-    """
-    if pos == len(levels):
-        return True
-    edges, reach, dead = levels[pos]
-    key = used & reach
-    if key in dead:
-        return False
-    pos += 1
-    for e in edges:
-        if not e & used:
-            picks.append(e)
-            if _rainbow_picks(levels, pos, used | e, picks):
-                return True
-            picks.pop()
-    dead.add(key)
-    return False
-
-
 def find_rainbow_matching(fam: ColoredFamily) -> RainbowMatching | None:
     """A rainbow matching of ``fam``, or None if it has none.
 
     Colours are tried in ascending edge-count order (ties by colour) and
-    each colour's edges in their order, by the memoised search of
-    ``_rainbow_picks``; the refuted keys live for this call only.
+    each colour's edges in their order.  Level i is ``(edges, reach,
+    dead)``: the edges of the i-th colour, the union of the vertices of
+    every edge of levels i and on, and the keys refuted at level i for
+    this call.  Whether the levels from i on can be completed depends on
+    the used vertices only through those they could cover, so the key is
+    ``used & reach``.  A key is recorded only when its level runs out
+    with no completion, and a pick whose next level's key is refuted is
+    skipped: only subtrees with no completion are skipped, so the first
+    completion in depth-first order is the one the plain search finds.
+
+    The search is a loop, not a recursion, so its depth is not bounded
+    by Python's recursion limit.  The level it is on is the iterator
+    ``edges`` over its colour's edges and the vertices ``used`` by the
+    picks above it.  Descending pushes that pair; a level that runs out
+    records its key, pops its parent's pair and takes back the pick
+    that led into it, and the parent's iterator resumes after that
+    pick.  On the benchmark's rainbow families a version that kept the
+    level it is on at the top of the stack, and re-read it at each
+    step, took 1.04 to 1.08 times as long.
     """
-    members = fam.members
-    order = sorted(range(fam.k), key=lambda i: (len(members[i].edges), i))
-    levels = []
+    members, k = fam.members, fam.k
+    order = sorted(range(k), key=lambda i: (len(members[i].edges), i))
+    levels = [((), 0, set())]  # past the last colour: no key is refuted
     reach = 0
     for ci in reversed(order):
         edges = members[ci].edges
@@ -282,9 +261,28 @@ def find_rainbow_matching(fam: ColoredFamily) -> RainbowMatching | None:
         levels.append((edges, reach, set()))
     levels.reverse()
     picks: list[int] = []
-    if not _rainbow_picks(levels, 0, 0, picks):
-        return None
-    return RainbowMatching(tuple(sorted(zip([ci + 1 for ci in order], picks))))
+    stack: list[tuple[Iterator[int], int]] = []
+    edges, used = iter(levels[0][0]), 0
+    nxt, reach, dead = levels[1]
+    while True:
+        for e in edges:
+            if not e & used and (used | e) & reach not in dead:
+                picks.append(e)
+                if len(picks) == k:
+                    colors = [ci + 1 for ci in order]
+                    return RainbowMatching(tuple(sorted(zip(colors, picks))))
+                stack.append((edges, used))
+                edges, used = iter(nxt), used | e
+                nxt, reach, dead = levels[len(picks) + 1]
+                break
+        else:
+            if not stack:
+                return None
+            # the level that ran out is the next level of its parent
+            nxt, reach, dead = levels[len(picks)]
+            dead.add(used & reach)
+            edges, used = stack.pop()
+            picks.pop()
 
 
 def greedy_matching_from_high_degree_vertices(

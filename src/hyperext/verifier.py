@@ -47,27 +47,15 @@ column's cells with n < t each take the complete r-graph, as
 from __future__ import annotations
 
 import json
-import random
 import time
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
 
 from .cliques import count_cliques, enumerate_cliques
-from .core import Budget, ColoredFamily, Hypergraph, iter_bits, r_subsets, serialize
-from .extremal import (
-    ExtremalParams,
-    build_extremal_family,
-    rainbow_hypothesis_check,
-    reaches_regime_threshold,
-    theorem_bound,
-)
-from .matchings import (
-    find_rainbow_matching,
-    has_matching_at_most,
-    perfect_matching_patterns,
-)
-from .randgen import random_family_above_edge_threshold
+from .core import Budget, Hypergraph, iter_bits, r_subsets, serialize
+from .extremal import ExtremalParams, reaches_regime_threshold, theorem_bound
+from .matchings import has_matching_at_most, perfect_matching_patterns
 from .shifting import enumerate_stable, lift, maximal_edges, top_run
 
 CONFIRMED = "confirmed"
@@ -419,50 +407,6 @@ def _column_pass(
             for cell in group:
                 cell.count(g, budget)
     return [cell.report(budget, start) for cell in cells]
-
-
-def verify_rainbow_cell(
-    n: int, k: int, r: int, t: int, trials: int, seed: int = 0
-) -> VerificationReport:
-    """Random hypothesis-passing families must contain a rainbow matching;
-    the boundary family (every color the level-1 extremal family on k-1)
-    must not, confirming strictness of the hypothesis.  ``trials`` >= 0
-    and r <= t <= k+r-2, else ``ValueError``."""
-    if trials < 0:
-        raise ValueError(f"need trials >= 0, got trials={trials}")
-    if not r <= t <= k + r - 2:
-        raise ValueError(f"need r <= t <= k+r-2, got t={t}, r={r}, k={k}")
-    start = time.monotonic()
-    rng = random.Random(seed)
-    expected = trials + 1
-    good = 0
-    nodes = 0
-    for _ in range(trials):
-        fam = random_family_above_edge_threshold(rng, n, r, k)
-        nodes += 1
-        if all(rainbow_hypothesis_check(fam, t)) and find_rainbow_matching(fam):
-            good += 1
-    # boundary: all colors equal to the head-(k-1) family
-    if k >= 2:
-        boundary_member = build_extremal_family(n, k - 1, r, 1)
-    else:
-        boundary_member = Hypergraph._make(n, r, ())
-    boundary = ColoredFamily(n, r, (boundary_member,) * k)
-    nodes += 1
-    if find_rainbow_matching(boundary) is None:
-        good += 1
-    status = CONFIRMED if good == expected else COUNTEREXAMPLE
-    millis = int((time.monotonic() - start) * 1000)
-    return VerificationReport(
-        cell={"n": n, "k": k, "r": r, "t": t, "trials": trials, "seed": seed},
-        regime=None,
-        claimed_bound=expected,
-        observed_max=good,
-        witness=None,
-        status=status,
-        nodes=nodes,
-        millis=millis,
-    )
 
 
 def verify_proposition_3_2(

@@ -458,6 +458,16 @@ class TestRainbow:
         assert code == 1
         assert out.strip() == "none"
 
+    def test_colours_past_the_recursion_limit(self, capsys, tmp_path):
+        # the search once recursed once per colour: a RecursionError
+        # escaped, and the command exited 1 as if there were none
+        n = sys.getrecursionlimit() + 100
+        f = tmp_path / "a.hg"
+        f.write_text(serialize(Hypergraph.complete(n, 1)))
+        code, out, _ = run(capsys, "rainbow", *[str(f)] * n)
+        assert code == 0
+        assert out.splitlines() == [f"{v}: {v}" for v in range(1, n + 1)]
+
     def test_member_with_other_r_exit_2(self, capsys, tmp_path):
         f3 = tmp_path / "a.hg"
         f2 = tmp_path / "b.hg"

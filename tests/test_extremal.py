@@ -298,6 +298,13 @@ class TestRainbowHypothesis:
         with pytest.raises(ValueError):
             rainbow_hypothesis_check(fam, 5)
 
+    @pytest.mark.parametrize("t", [1, 3, 99])
+    def test_t_outside_r_to_k_plus_r_minus_2_rejected(self, t):
+        # r = k = 2 leaves t = 2 alone, so t below r is checked too
+        fam = ColoredFamily(8, 2, (Hypergraph.complete(8, 2),) * 2)
+        with pytest.raises(ValueError, match=r"r <= t <= k\+r-2"):
+            rainbow_hypothesis_check(fam, t)
+
     def test_agrees_with_direct_comparison(self):
         # one census per colour against one count_cliques per s
         rng = random.Random(30)

@@ -31,6 +31,7 @@ from hyperext.core import (
 from hyperext.extremal import binom, build_extremal_family
 from hyperext.matchings import (
     Matching,
+    RainbowMatching,
     find_matching,
     find_rainbow_matching,
     greedy_matching_from_disjoint_tuples,
@@ -41,7 +42,6 @@ from hyperext.matchings import (
     matching_number,
     perfect_matching_patterns,
 )
-from hyperext import matchings, verifier
 from hyperext.randgen import random_hypergraph
 from hyperext.shifting import precedes, shift
 
@@ -400,16 +400,33 @@ def boundary_family(n: int, k: int, r: int) -> ColoredFamily:
     return ColoredFamily(n, r, (build_extremal_family(n, k - 1, r, 1),) * k)
 
 
-def spend_per_rainbow_node(monkeypatch, budget: Budget) -> None:
-    """Spend one node of ``budget`` per node of the rainbow search, which
-    reaches every node through the module's name ``_rainbow_picks``."""
-    search = matchings._rainbow_picks
+class CountingEdges(tuple):
+    """An edge tuple that counts, in ``passes``, each time it is iterated."""
 
-    def spending(*args):
-        budget.spend()
-        return search(*args)
+    passes = 0
 
-    monkeypatch.setattr(matchings, "_rainbow_picks", spending)
+    def __iter__(self):
+        CountingEdges.passes += 1
+        return super().__iter__()
+
+
+def rainbow_level_entries(
+    fam: ColoredFamily,
+) -> tuple[RainbowMatching | None, int]:
+    """``find_rainbow_matching(fam)`` and the number of levels it entered.
+
+    Each member's edges are a ``CountingEdges``.  The search passes over
+    a level's edges once per entry, and once per colour to build the
+    vertices the levels from it on could cover, so the entries are the
+    passes less k.
+    """
+    members = [
+        Hypergraph._make(h.n, h.r, CountingEdges(h.edges)) for h in fam.members
+    ]
+    counted = ColoredFamily(fam.n, fam.r, tuple(members))
+    CountingEdges.passes = 0
+    rm = find_rainbow_matching(counted)
+    return rm, CountingEdges.passes - fam.k
 
 
 class TestRainbowMemo:
@@ -452,40 +469,48 @@ class TestRainbowMemo:
         assert find_rainbow_matching(fam) is None
         assert rainbow_matching_plain(fam) is None
 
-    def test_node_count_on_an_unplanted_toolkit_family(self, monkeypatch):
+    def test_node_count_on_an_unplanted_toolkit_family(self):
         toolkit = perfbench_module("toolkit")
         fam = next(
             args[0]
             for kind, args in toolkit.generate(1)
             if kind == "rainbow" and not args[1]
         )
-        counted, plain = CountingBudget(), CountingBudget()
-        spend_per_rainbow_node(monkeypatch, counted)
-        assert find_rainbow_matching(fam) is None
+        plain = CountingBudget()
+        rm, entries = rainbow_level_entries(fam)
+        assert rm is None
         assert rainbow_matching_plain(fam, plain) is None
-        assert (counted.spent, plain.spent) == (1531, 1934)
+        assert (entries, plain.spent) == (455, 1934)
 
-    def test_key_drops_vertices_no_later_colour_covers(self, monkeypatch):
+    def test_key_drops_vertices_no_later_colour_covers(self):
         # each pick of the first colour uses 9 and one of 1, 2, 3, which
         # the two stars on {5, ..., 8} never cover: one refutation serves
         # all three picks
         star = Hypergraph.from_edges(9, 2, [(5, 6), (5, 7), (5, 8)])
         first = Hypergraph.from_edges(9, 2, [(1, 9), (2, 9), (3, 9)])
-        counted, plain = CountingBudget(), CountingBudget()
+        plain = CountingBudget()
         fam = ColoredFamily(9, 2, (first, star, star))
-        spend_per_rainbow_node(monkeypatch, counted)
-        assert find_rainbow_matching(fam) is None
+        rm, entries = rainbow_level_entries(fam)
+        assert rm is None
         assert rainbow_matching_plain(fam, plain) is None
-        assert (counted.spent, plain.spent) == (7, 13)
+        assert (entries, plain.spent) == (5, 13)
 
-    def test_boundary_cell_past_the_plain_search(self, monkeypatch):
-        # 57,583 nodes with the memo, 23,604,484 with the plain search
+    def test_boundary_cell_past_the_plain_search(self):
+        # the memo enters 4,096 levels; the plain search takes 23,604,484
+        # nodes, one per level entered
         limit = 100_000
         with pytest.raises(BudgetExceededError):
             rainbow_matching_plain(boundary_family(14, 7, 2), Budget(limit))
-        spend_per_rainbow_node(monkeypatch, Budget(limit))
-        rep = verifier.verify_rainbow_cell(14, 7, 2, 2, trials=0)
-        assert rep.status == "confirmed"
+        rm, entries = rainbow_level_entries(boundary_family(14, 7, 2))
+        assert rm is None and entries < limit
+
+    def test_colours_past_the_recursion_limit(self):
+        # the search once recursed once per colour
+        n = sys.getrecursionlimit() + 100
+        fam = ColoredFamily(n, 1, (Hypergraph.complete(n, 1),) * n)
+        rm = find_rainbow_matching(fam)
+        assert rm is not None and is_valid_rainbow_matching(fam, rm)
+        assert rm.picks == tuple((c, 1 << (c - 1)) for c in range(1, n + 1))
 
 
 class TestGreedyHighDegree:

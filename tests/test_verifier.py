@@ -60,7 +60,6 @@ from hyperext.verifier import (
     stable_with_matching_at_most,
     verify_extremal_cell,
     verify_proposition_3_2,
-    verify_rainbow_cell,
 )
 
 
@@ -603,31 +602,6 @@ class TestRegimeIIIGap:
         rep = verify_extremal_cell(6, 1, 2, 3)
         assert rep.regime == "III"
         assert rep.status == CONFIRMED
-
-
-class TestRainbowCell:
-    def test_confirmed_cell(self):
-        rep = verify_rainbow_cell(8, 2, 2, 2, trials=20, seed=5)
-        assert rep.status == CONFIRMED
-        assert rep.claimed_bound == 21
-        assert rep.observed_max == 21
-
-    def test_seed_reproducibility(self):
-        a = verify_rainbow_cell(8, 3, 2, 3, trials=10, seed=1)
-        b = verify_rainbow_cell(8, 3, 2, 3, trials=10, seed=1)
-        assert a.to_json_line(omit_timing=True) == b.to_json_line(omit_timing=True)
-
-    @pytest.mark.parametrize("trials", [-1, -5])
-    def test_negative_trials_rejected(self, trials):
-        # trials=-1 once read as a counterexample: 0 expected, 1 counted
-        with pytest.raises(ValueError, match="trials >= 0"):
-            verify_rainbow_cell(8, 2, 2, 2, trials=trials)
-
-    @pytest.mark.parametrize("t", [1, 3, 99])
-    def test_t_outside_r_to_k_plus_r_minus_2_rejected(self, t):
-        # with no trials, t was never checked, and t=99 read as confirmed
-        with pytest.raises(ValueError, match=r"r <= t <= k\+r-2"):
-            verify_rainbow_cell(8, 2, 2, t, trials=0)
 
 
 class TestProposition:
