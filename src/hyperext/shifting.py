@@ -27,7 +27,8 @@ the walk starts.  The walk is a depth-first stack with one node per
 family it reaches, each node holding its own state.  It skips every
 subtree that holds no maximal family and spends one node of its
 ``core.Budget`` on each family it reaches; its docstring gives the
-order and the proof.
+order and the proof.  A child whose skipped chain already rules it out
+is never pushed, nor is any later sibling, so no node is spent on it.
 
 ``lift(g, n)`` extends a stable family g on [t] to the largest stable
 family on [n] whose trace on [t] is g: an r-set e of [n] is in it iff
@@ -381,8 +382,26 @@ def enumerate_stable(
     which need not be one of them; the one that lets more join there
     prunes more.
 
-    ``budget`` is spent once per family the walk reaches, yielded or
-    not, before its candidates are asked about.
+    The skipped-chain test runs when a child is pushed, not only when
+    it is popped.  The child C adding accepted[pos], pos >= 1, starts
+    from the S and the chain it is pushed with, and the walk asks that
+    chain against the U they give before it pushes C.  If a skipped s
+    may join it, neither C nor any later sibling is pushed, and no
+    maximal family is lost.  A set that may join U may join every
+    U' ⊆ U: a blocker set held by U' is held by U.  C's own rejections
+    only grow its S, so the U it is popped with lies in the U it was
+    pushed with, s may join that too, and C would be cut when popped.
+    A later sibling starts from a larger S, hence a smaller U, and from
+    a chain that holds C's, s included, so it would be cut as well.
+    When a node is popped, the test runs again only if its own
+    rejections grew its S.  Otherwise U and the chain are those it was
+    pushed with, which passed: at the push for pos >= 1, and at the
+    parent's pop for child 0, which starts from the parent's S and
+    chain after the parent's rejections.  The root's chain is empty.
+
+    ``budget`` is spent once per family the walk pushes, yielded or
+    not, when it is popped and before its candidates are asked about;
+    a child the push-time test leaves out costs nothing.
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
@@ -411,23 +430,27 @@ def enumerate_stable(
                 return False
         return True
 
+    def skips_a_joiner(shadow: int, skipped: tuple) -> bool:
+        """Whether an r-set on the chain ``skipped`` may join U, the
+        bits of ~shadow, a negative int."""
+        while skipped and not joins(~shadow, skipped[0]):
+            skipped = skipped[1]
+        return bool(skipped)
+
     # a node: its family, S(family), its candidates and the r-sets
     # skipped on the way to it, a chain (r_set, rest) newest first
     stack = [(0, 0, [i for i, bits in enumerate(below) if not bits], ())]
     while stack:
         family, shadow, candidates, skipped = stack.pop()
         budget.spend()
+        pushed_with = shadow  # the chain passed against this S
         accepted = []
         for c in candidates:
             if joins(family, c):
                 accepted.append(c)
             else:
                 shadow |= above[c]
-        # the bits of ~shadow, a negative int, are U(family)
-        rest = skipped
-        while rest and not joins(~shadow, rest[0]):
-            rest = rest[1]
-        if rest:
+        if shadow != pushed_with and skips_a_joiner(shadow, skipped):
             continue  # no family from here down is maximal
         if not accepted:
             yield Hypergraph._make(
@@ -436,6 +459,8 @@ def enumerate_stable(
         # the child adding accepted[pos] skips accepted[:pos]; the last
         # child is pushed last, so its subtree is walked first
         for pos, j in enumerate(accepted):
+            if pos and skips_a_joiner(shadow, skipped):
+                break  # it, and every later sibling, would be cut when popped
             child = family | 1 << j
             fresh = [u for u in up[j] if below[u] & child == below[u]]
             stack.append(

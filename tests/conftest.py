@@ -21,6 +21,7 @@ from hyperext.core import (
     ColoredFamily,
     Hypergraph,
     HypergraphFormatError,
+    iter_bits,
     labels_from_mask,
     mask_from_labels,
     r_subsets,
@@ -38,7 +39,7 @@ from hyperext.matchings import (
     find_matching,
     has_matching_at_most,
 )
-from hyperext.shifting import ShiftTrace, precedes, shift
+from hyperext.shifting import ShiftTrace, colex_order, precedes, shift
 
 # one line per acceptance criterion, printed after the run so the
 # verdicts survive pytest's output capture
@@ -419,6 +420,51 @@ def naive_stable_families(n: int, r: int, predicate=None, maximal=False):
             included_set.remove(e)
 
     yield from walk(0)
+
+
+def enumerate_stable_pushing_every_child(n, r, blockers, *, budget=None):
+    """``shifting.enumerate_stable`` without its push-time test: every
+    accepted candidate of a node is pushed as a child, and each node
+    runs the skipped-chain test when popped.  The same maximal families
+    in the same order, from more families reached.
+    """
+    budget = budget or Budget()
+    elements, position, below, up, _, above = colex_order(n, r)
+    blocked = [
+        [sum({1 << position[f] for f in p}) for p in blockers(e)]
+        for e in elements
+    ]
+
+    def joins(family: int, i: int) -> bool:
+        return all(p & family != p for p in blocked[i])
+
+    stack = [(0, 0, [i for i, bits in enumerate(below) if not bits], ())]
+    while stack:
+        family, shadow, candidates, skipped = stack.pop()
+        budget.spend()
+        accepted = []
+        for c in candidates:
+            if joins(family, c):
+                accepted.append(c)
+            else:
+                shadow |= above[c]
+        rest = skipped
+        while rest and not joins(~shadow, rest[0]):
+            rest = rest[1]
+        if rest:
+            continue
+        if not accepted:
+            yield Hypergraph._make(
+                n, r, tuple([elements[i] for i in iter_bits(family)])
+            )
+        for pos, j in enumerate(accepted):
+            child = family | 1 << j
+            fresh = [u for u in up[j] if below[u] & child == below[u]]
+            stack.append(
+                (child, shadow, sorted(accepted[pos + 1:] + fresh), skipped)
+            )
+            shadow |= above[j]
+            skipped = (j, skipped)
 
 
 def lift_by_covers(g: Hypergraph, n: int) -> Hypergraph:

@@ -210,14 +210,14 @@ class TestVerify:
         assert "error:" in err and "after 100 nodes" in err
 
     def test_budget_counts_walk_and_nu_search_nodes(self, capsys):
-        # the figure README gives: 2,761 families, and one ν-search node
+        # the figure README gives: 2,031 families, and one ν-search node
         # to re-check the witness
         cell = ["--n", "9", "--k", "2", "--r", "3", "--s", "5"]
-        code, out, _ = run(capsys, "verify", "extremal", *cell, "--budget", "2762")
+        code, out, _ = run(capsys, "verify", "extremal", *cell, "--budget", "2032")
         assert code == 0 and "bound-not-yet-active" in out
-        code, out, err = run(capsys, "verify", "extremal", *cell, "--budget", "2761")
+        code, out, err = run(capsys, "verify", "extremal", *cell, "--budget", "2031")
         assert code == 3 and out == ""
-        assert "after 2761 nodes" in err
+        assert "after 2031 nodes" in err
 
     # (9, 2, 3, 5) walks [9]; (10, 3, 3, 6) is below the span r(k+1) = 12,
     # where no walk runs

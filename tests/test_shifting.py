@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from conftest import (
     avoiding,
     dominated_sets_recursive,
+    enumerate_stable_pushing_every_child,
     hosts,
     lift_by_covers,
     naive_downset_count,
@@ -19,6 +20,7 @@ from conftest import (
     shift_by_edges,
     stabilize_by_shifts,
 )
+from hyperext import verifier
 from hyperext.cliques import clique_census, count_cliques
 from hyperext.core import (
     Budget,
@@ -361,11 +363,32 @@ def _no_blockers(e):
     return ()
 
 
-def _walk(n, r, blockers):
-    """The stream of ``enumerate_stable`` and the budget nodes it spends."""
+def _walk(n, r, blockers, walk=enumerate_stable):
+    """The stream of ``walk`` and the budget nodes it spends."""
     budget = Budget(10**9)
-    stream = [h.edges for h in enumerate_stable(n, r, blockers, budget=budget)]
+    stream = [h.edges for h in walk(n, r, blockers, budget=budget)]
     return stream, budget.limit - budget.left
+
+
+def _column_walks(monkeypatch, k, r):
+    """The verifier's walk on [r(k+1)] for ν <= k, as ``_walk`` gives it,
+    from ``enumerate_stable`` and from the walk that pushes every child,
+    both handed the verifier's own blocker rule."""
+    rules = []
+
+    def capture(n, size, blockers, **kwargs):
+        rules.append(blockers)
+        return iter(())
+
+    t = r * (k + 1)
+    monkeypatch.setattr(verifier, "enumerate_stable", capture)
+    list(verifier.stable_with_matching_at_most(t, r, k))
+    monkeypatch.undo()
+    (blockers,) = rules
+    return (
+        _walk(t, r, blockers),
+        _walk(t, r, blockers, enumerate_stable_pushing_every_child),
+    )
 
 
 def _assert_same_stream_as_oracle(n, r, blockers):
@@ -507,7 +530,10 @@ class TestEnumerateStable:
         rules += [_conflict_blockers(n, r, seed) for seed in range(4)]
         for blockers in rules:
             every = sum(1 for _ in naive_stable_families(n, r, avoiding(blockers)))
-            assert _walk(n, r, blockers)[1] <= every
+            spent = _walk(n, r, blockers)[1]
+            assert spent <= every
+            oracle = enumerate_stable_pushing_every_child
+            assert spent <= _walk(n, r, blockers, oracle)[1]
 
     @pytest.mark.parametrize("n, r", STREAM_GRID)
     def test_blockers_asked_at_most_once_per_r_set(self, n, r):
@@ -546,14 +572,36 @@ class TestEnumerateStable:
                     n, r, lambda e: once if e == y else ()
                 )
 
-    def test_maximal_walk_on_the_span_reaches_2761_of_11720_families(self):
+    @pytest.mark.parametrize(
+        "k, r", [(1, 2), (2, 2), (3, 2), (5, 2), (1, 3), (2, 3), (1, 4)]
+    )
+    def test_same_column_stream_as_pushing_every_child(self, monkeypatch, k, r):
+        # a child is left out only where it would be cut when popped
+        (stream, spent), (every, spent_every) = _column_walks(monkeypatch, k, r)
+        assert stream == every and spent <= spent_every
+
+    @pytest.mark.parametrize(
+        "r, k, maximal, reached, reached_pushing_every_child",
+        [(3, 2, 68, 2031, 2761), (4, 1, 72, 812, 1220), (2, 5, 6, 236, 344),
+         (3, 1, 6, 28, 33)],
+    )
+    def test_families_reached_on_a_column(
+        self, monkeypatch, r, k, maximal, reached, reached_pushing_every_child
+    ):
+        (stream, spent), (_, spent_every) = _column_walks(monkeypatch, k, r)
+        assert (len(stream), spent) == (maximal, reached)
+        assert spent_every == reached_pushing_every_child
+
+    def test_maximal_walk_on_the_span_reaches_2031_of_11720_families(self):
         # ν <= 2 on [9] = [r(k+1)], r = 3.  The verifier's rule lets e join
         # the upper bound of a node even where that has ν > 2, so it
         # prunes more than the from-scratch test, which rejects there
         scratch = nu_blockers_from_scratch(9, 3, 2)
         tops, spent = _walk(9, 3, nu_blockers_through(9, 3, 2))
-        assert (len(tops), spent) == (68, 2761)
-        assert _walk(9, 3, scratch) == (tops, 3509)
+        assert (len(tops), spent) == (68, 2031)
+        assert _walk(9, 3, scratch) == (tops, 2907)
+        pushing_every = _walk(9, 3, scratch, enumerate_stable_pushing_every_child)
+        assert pushing_every == (tops, 3509)
         every = naive_stable_families(9, 3, nu_at_most_from_scratch(2))
         assert sum(1 for _ in every) == 11720
 

@@ -516,22 +516,22 @@ class TestMaximalOnlySearch:
 
     @pytest.mark.parametrize("n", [9, 12])
     def test_budget_a_cell_needs_does_not_depend_on_n(self, n):
-        # above the span r(k+1) = 9 the walk still runs on [9]: 2,761
+        # above the span r(k+1) = 9 the walk still runs on [9]: 2,031
         # families, and its ν test runs no search; the witness's re-check
         # on [n] takes one node at n = 9 and n = 12
-        rep = _assert_budget_needed(verify_extremal_cell, (n, 2, 3, 5), 2762)
+        rep = _assert_budget_needed(verify_extremal_cell, (n, 2, 3, 5), 2032)
         assert rep.nodes == 68
 
     @pytest.mark.parametrize(
         "n, k, r, s, need",
         [
-            # 344 families on [12] and one re-check node
-            (14, 5, 2, 3, 345),
-            (20, 5, 2, 3, 345),
-            # regime III: 33 families on [6], one the descent counts and
+            # 236 families on [12] and one re-check node
+            (14, 5, 2, 3, 237),
+            (20, 5, 2, 3, 237),
+            # regime III: 28 families on [6], one the descent counts and
             # one re-check node
-            (8, 1, 3, 5, 35),
-            (14, 1, 3, 5, 35),
+            (8, 1, 3, 5, 30),
+            (14, 1, 3, 5, 30),
         ],
     )
     def test_one_budget_covers_every_inner_search(self, n, k, r, s, need):
@@ -669,9 +669,9 @@ class TestProposition:
             verify_proposition_3_2(6, 1, 2, 2)  # s below k+r
 
     def test_budget_covers_the_walk_and_its_nu_searches(self):
-        # the same walk as the extremal cell (9, 2, 3, 5), 2,761 families,
+        # the same walk as the extremal cell (9, 2, 3, 5), 2,031 families,
         # without the witness's re-check
-        _assert_budget_needed(verify_proposition_3_2, (9, 2, 3, 5), 2761)
+        _assert_budget_needed(verify_proposition_3_2, (9, 2, 3, 5), 2031)
 
 
 def test_benchmark_trace_hooks_resolve_on_the_verifier():
@@ -683,8 +683,8 @@ def test_benchmark_trace_hooks_resolve_on_the_verifier():
     with tracing.installed(tracer):
         verifier.verify_extremal_cell(7, 2, 2, 3).to_json_line()
         # the wrappers hand the budget on to the walk and the re-check:
-        # 19 families and one ν-search node
-        _assert_budget_needed(verifier.verify_extremal_cell, (7, 2, 2, 3), 20)
+        # 16 families and one ν-search node
+        _assert_budget_needed(verifier.verify_extremal_cell, (7, 2, 2, 3), 17)
     recorded = {span[0] for span in tracer.spans}
     assert {
         "verifier.cell",
