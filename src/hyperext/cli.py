@@ -13,7 +13,6 @@ import ast
 import json
 import operator
 import sys
-from fractions import Fraction
 
 from . import core, shifting
 from .cliques import count_cliques
@@ -269,6 +268,8 @@ def _cmd_rainbow(args) -> int:
 
 
 def _cmd_ineq(args) -> int:
+    from fractions import Fraction
+
     try:
         x = Fraction(args.x) if args.x is not None else None
     except ZeroDivisionError:

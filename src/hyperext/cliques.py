@@ -21,15 +21,13 @@ none of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import Hypergraph
 
 
-@dataclass(frozen=True)
-class CliqueCount:
+class CliqueCount(NamedTuple):
     """Total (and optionally per-vertex) number of s-cliques."""
 
     s: int

@@ -17,7 +17,6 @@ from the labels actually used, never from [n].
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -59,6 +58,19 @@ class Budget:
             raise BudgetExceededError(
                 f"search budget exceeded after {self.limit} nodes"
             )
+
+
+def _immutable(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable classes."""
+    raise AttributeError(
+        f"{type(self).__name__} is immutable: cannot set or delete {name!r}"
+    )
+
+
+# the immutable classes set their fields through object's own
+# ``__setattr__``, since theirs raises; an update of ``__dict__`` would
+# be quicker but gives each instance a full dict, over twice the size
+_set = object.__setattr__
 
 
 def mask_from_labels(labels: Iterable[int]) -> int:
@@ -107,17 +119,35 @@ def r_subsets(n: int, r: int) -> Iterator[int]:
         yield m
 
 
-@dataclass(frozen=True)
 class Hypergraph:
     """An r-uniform hypergraph on vertices 1..n with a canonical edge list.
 
     ``edges`` holds bitmasks in ascending numeric order (= colex order of
-    the vertex sets).  Instances are immutable and safe to share.
+    the vertex sets).  Instances are immutable and safe to share.  Two
+    are equal when their ``n``, ``r`` and ``edges`` are.
     """
 
     n: int
     r: int
     edges: tuple[int, ...]
+
+    def __init__(self, n: int, r: int, edges: tuple[int, ...]):
+        _set(self, "n", n)
+        _set(self, "r", r)
+        _set(self, "edges", edges)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.r, self.edges) == (other.n, other.r, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.r, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Hypergraph(n={self.n!r}, r={self.r!r}, edges={self.edges!r})"
 
     @classmethod
     def from_edge_masks(
@@ -185,23 +215,42 @@ class Hypergraph:
         return mask in self.edge_set
 
 
-@dataclass(frozen=True)
 class ColoredFamily:
-    """An ordered list of r-graphs F_1..F_k on a common vertex set [n]."""
+    """An ordered list of r-graphs F_1..F_k on a common vertex set [n].
+
+    Instances are immutable; two are equal when their ``n``, ``r`` and
+    ``members`` are.
+    """
 
     n: int
     r: int
     members: tuple[Hypergraph, ...]
 
-    def __post_init__(self):
-        if len(self.members) < 1:
+    def __init__(self, n: int, r: int, members: tuple[Hypergraph, ...]):
+        if len(members) < 1:
             raise ValueError("a colored family needs at least one member")
-        for i, h in enumerate(self.members):
-            if h.n != self.n or h.r != self.r:
+        for i, h in enumerate(members):
+            if h.n != n or h.r != r:
                 raise ValueError(
                     f"member {i + 1} has (n, r) = ({h.n}, {h.r}), "
-                    f"expected ({self.n}, {self.r})"
+                    f"expected ({n}, {r})"
                 )
+        _set(self, "n", n)
+        _set(self, "r", r)
+        _set(self, "members", members)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.r, self.members) == (other.n, other.r, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.r, self.members))
+
+    def __repr__(self) -> str:
+        return f"ColoredFamily(n={self.n!r}, r={self.r!r}, members={self.members!r})"
 
     @property
     def k(self) -> int:

@@ -12,11 +12,13 @@ level-a family is the only real-valued quantity here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cliques import clique_census
-from .core import ColoredFamily, Hypergraph, r_subsets
+from .core import ColoredFamily, Hypergraph, _immutable, _set, r_subsets
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def binom(n: int, k: int) -> int:
@@ -26,20 +28,41 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
 class ExtremalParams:
-    """Parameter cell (n, k, r, s) with derived level and regime tag."""
+    """Parameter cell (n, k, r, s) with derived level and regime tag.
+
+    Instances are immutable; two are equal when their fields are.
+    """
 
     n: int
     k: int
     r: int
     s: int
 
-    def __post_init__(self):
-        if min(self.n, self.k, self.r, self.s) < 1:
+    def __init__(self, n: int, k: int, r: int, s: int):
+        if min(n, k, r, s) < 1:
             raise ValueError("n, k, r, s must be positive")
-        if self.s < self.r:
-            raise ValueError(f"need s >= r, got s={self.s}, r={self.r}")
+        if s < r:
+            raise ValueError(f"need s >= r, got s={s}, r={r}")
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "r", r)
+        _set(self, "s", s)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.k, self.r, self.s) == (other.n, other.k, other.r, other.s)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k, self.r, self.s))
+
+    def __repr__(self) -> str:
+        return (
+            f"ExtremalParams(n={self.n!r}, k={self.k!r}, r={self.r!r}, s={self.s!r})"
+        )
 
     @property
     def a(self) -> int:
@@ -112,8 +135,7 @@ def recurrence_check(n: int, k: int, r: int, s: int) -> bool:
     return lhs == closed_form_clique_count(n, k, r, 1, s)
 
 
-@dataclass(frozen=True)
-class InequalityVerdict:
+class InequalityVerdict(NamedTuple):
     name: str
     holds: bool | None
     note: str = ""
@@ -209,6 +231,8 @@ def binomial_inequality_suite(
             out.append(InequalityVerdict("eq4", holds))
 
     if p is not None or x is not None:
+        from fractions import Fraction
+
         if p is None or x is None:
             out.append(InequalityVerdict("eq5", None, "needs both p and x"))
         elif p < 1 or not 0 < x <= Fraction(1, p):

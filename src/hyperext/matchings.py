@@ -46,18 +46,16 @@ picks, where plain backtracking tries 23,604,483.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import Budget, ColoredFamily, Hypergraph, iter_bits, neighborhood
 from .shifting import colex_order
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A list of pairwise-disjoint edges, as vertex masks."""
 
     edges: tuple[int, ...]
@@ -66,8 +64,7 @@ class Matching:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class RainbowMatching:
+class RainbowMatching(NamedTuple):
     """One edge per color, pairwise disjoint: pairs (color index, edge mask)."""
 
     picks: tuple[tuple[int, int], ...]

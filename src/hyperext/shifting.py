@@ -44,17 +44,15 @@ that reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import Callable, Container, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
 from .core import Budget, Hypergraph, iter_bits, labels_from_mask, r_subsets
 
 
-@dataclass(frozen=True)
-class ShiftTrace:
+class ShiftTrace(NamedTuple):
     """Record of one stabilization run: only real moves are recorded."""
 
     applications: tuple[tuple[int, int, int], ...]

@@ -48,9 +48,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .cliques import count_cliques, enumerate_cliques
 from .core import Budget, Hypergraph, iter_bits, r_subsets, serialize
@@ -66,8 +65,7 @@ INVARIANT_BROKEN = "invariant-broken"
 SCHEMA = "hyperext/1"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     cell: dict
     regime: str | None
     claimed_bound: int

@@ -7,6 +7,9 @@ optimized paths are checked against an independent route.
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +18,7 @@ from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
+import hyperext
 from hyperext.cliques import count_cliques, enumerate_cliques
 from hyperext.core import (
     Budget,
@@ -101,6 +105,22 @@ def perfbench_module(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_in_fresh_interpreter(script: str) -> str:
+    """The stdout of ``script`` run by a new Python process that imports
+    this checkout's hyperext; a non-zero exit fails the calling test."""
+    src = str(Path(hyperext.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def naive_clique_count(h: Hypergraph, s: int) -> int:

@@ -1,14 +1,11 @@
 import io
 import json
-import os
-import subprocess
 import sys
 from math import comb
-from pathlib import Path
 
 import pytest
 
-from conftest import stabilize_by_shifts
+from conftest import run_in_fresh_interpreter, stabilize_by_shifts
 from hyperext.cli import _parse_sweep_config, main
 from hyperext.core import Hypergraph, serialize
 from hyperext.extremal import build_extremal_family
@@ -335,8 +332,6 @@ class TestVerify:
     def test_one_column_sweep_runs_without_a_process_pool(self, tmp_path):
         # --jobs 2 is capped at the one (k, r) column, so the sweep runs
         # in-process and never imports concurrent.futures
-        import hyperext
-
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("r=3, k=1, s=3..5, n=max(s, r*k+r)..8\n")
         script = (
@@ -347,17 +342,7 @@ class TestVerify:
             "print('pool' if 'concurrent.futures' in sys.modules else 'no pool')\n"
             "sys.exit(code)\n"
         )
-        src = str(Path(hyperext.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        *lines, last = done.stdout.splitlines()
+        *lines, last = run_in_fresh_interpreter(script).splitlines()
         assert last == "no pool"
         assert len(lines) == 9
 
