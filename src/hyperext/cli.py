@@ -132,11 +132,10 @@ def _cmd_verify_extremal(args) -> int:
             f"regime {report.regime}: claimed {report.claimed_bound}, "
             f"observed {report.observed_max}, {report.status}"
         )
-    return _exit_code([report])
+    return _exit_code({report.status})
 
 
-def _exit_code(reports) -> int:
-    statuses = {report.status for report in reports}
+def _exit_code(statuses: set[str]) -> int:
     if INVARIANT_BROKEN in statuses:
         return 4
     return 1 if COUNTEREXAMPLE in statuses else 0
@@ -232,11 +231,11 @@ def _parse_sweep_config(text: str) -> list[tuple[int, int, int, int]]:
 def _cmd_verify_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cells = _parse_sweep_config(fh.read())
-    reports = []
+    statuses = set()
     for report in run_extremal_sweep(cells, jobs=args.jobs):
         print(report.to_json_line(), flush=True)
-        reports.append(report)
-    return _exit_code(reports)
+        statuses.add(report.status)
+    return _exit_code(statuses)
 
 
 def _cmd_rainbow(args) -> int:

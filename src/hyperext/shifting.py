@@ -7,6 +7,13 @@ decreases clique counts, and never increases the matching number.  A
 stable r-graph is fixed by every S_ij with i < j, equivalently a downset
 of the sorted-componentwise precedence order ≺ on r-sets.
 
+``_covers(e)`` is the one cover rule: the covers of an r-set e, the
+r-sets just below it in ≺, are e with one vertex v moved to v - 1 where
+v - 1 is outside e.  ≺ is generated by them (``stable_closure_check``
+gives the proof), so ``colex_order``, ``maximal_edges`` and
+``stable_closure_check`` take ≺ from that rule alone; ``precedes`` is
+the definition, compared label by label.
+
 ``shift`` builds a new hypergraph per step; ``stabilize`` applies each
 S_ij in place on one edge set, indexed by vertex.  In place is exact:
 every target of S_ij holds i and misses j, so no target is also a
@@ -15,7 +22,7 @@ lists before it applies any are the moves it makes at once.
 
 ``colex_order(n, r)`` lists the r-sets of [n] in colex order and gives
 ≺ on them as bit sets over their indices: the covers of each r-set,
-the r-sets it covers, and both closures.  It is the one index of ≺ in
+the r-sets it is a cover of, and both closures.  It is the one index of ≺ in
 the library; the walk below and ``matchings.perfect_matching_patterns``
 read it, on small [n] only.
 
@@ -173,33 +180,22 @@ def precedes(e1: int, e2: int) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _dominated_sets(xs: list[int]) -> Iterator[int]:
-    """All r-set masks S with S ≺ e (including e itself), for the sorted
-    labels ``xs`` of e, in lexicographic order of their label lists.
-
-    A stack node ``(idx, prev, mask)`` holds the labels of S chosen below
-    ``idx`` in ``mask``, the last of them ``prev``.  Its children are
-    pushed largest label first, so the smallest is popped first, and no
-    recursion bounds r.
-    """
-    stack = [(0, 0, 0)]
-    while stack:
-        idx, prev, mask = stack.pop()
-        if idx == len(xs):
-            yield mask
-            continue
-        for y in range(xs[idx], prev, -1):
-            stack.append((idx + 1, y, mask | (1 << (y - 1))))
-
-
 def stable_closure_check(h: Hypergraph) -> bool:
-    """Downset characterization: every S ≺ E of an edge E is itself an edge."""
+    """Downset characterization: every S ≺ E of an edge E is itself an
+    edge.  It asks one thing, whether every cover of every edge
+    (``_covers``) is an edge.
+
+    That is exact because ≺ is generated by its covers.  Take S ≺ E,
+    S ≠ E, with sorted labels s_1 < ... < s_r and e_1 < ... < e_r, and
+    let i be the first index with s_i < e_i.  Then
+    e_i - 1 >= s_i > s_{i-1} = e_{i-1} (for i = 1, e_1 - 1 >= s_1 >= 1),
+    so e_i - 1 is a vertex outside E, and lowering e_i by one gives a
+    cover E' of E with S ≺ E'.  The label sum falls by one at each such
+    step, so a chain of covers leads from E down to S, and a family that
+    holds every cover of each of its edges holds S.
+    """
     present = h.edge_set
-    for e in h.edges:
-        for s in _dominated_sets(labels_from_mask(e)):
-            if s not in present:
-                return False
-    return True
+    return all(c in present for e in h.edges for c in _covers(e))
 
 
 def _covers(e: int) -> list[int]:
@@ -219,7 +215,7 @@ def colex_order(
 
     ``position[e]`` is the index of the r-set e.  ``below[i]`` holds the
     covers of element i (``_covers``), and ``up[i]`` lists the elements
-    that element i covers, ascending.  ``down[i]`` holds element i and
+    that element i is a cover of, ascending.  ``down[i]`` holds element i and
     every element ≺ it, and ``above[i]`` element i and every element it
     precedes.  Covers come before an r-set in colex order, so ``down``
     is built in one ascending pass and ``above`` in one descending pass.
@@ -277,8 +273,10 @@ def fibre(f: int, t: int, n: int) -> Iterator[int]:
 def lift(g: Hypergraph, n: int) -> Hypergraph:
     """ext_n(g): the largest downset on [n] whose trace on [g.n] is ``g``.
 
-    ``g`` is stable on [t], t = g.n <= n, else ``ValueError``: a family
-    on fewer vertices cannot hold g's edges.  ext_n(g) is the r-sets e
+    ``g`` must be stable on [t], t = g.n; that is not checked, and an
+    unstable ``g`` gives a family that need not be a downset.  Only
+    t > n raises ``ValueError``: a family on fewer vertices cannot hold
+    g's edges.  ext_n(g) is the r-sets e
     of [n] with π(e) in g, so the union of the fibres (``fibre``) of
     g's edges, sorted into colex order.  π keeps ≺, since each
     coordinate min(e_i, t - r + i) grows with e_i; π(e) ≺ e; and π is

@@ -377,6 +377,17 @@ def dominated_sets_recursive(
         yield from dominated_sets_recursive(xs, idx + 1, y, mask | (1 << (y - 1)))
 
 
+def stable_by_dominated_sets(h: Hypergraph) -> bool:
+    """The downset definition in full: every S ≺ E of every edge E is an
+    edge, each down(E) listed by ``dominated_sets_recursive``."""
+    present = h.edge_set
+    return all(
+        s in present
+        for e in h.edges
+        for s in dominated_sets_recursive(labels_from_mask(e))
+    )
+
+
 def naive_downset_count(n: int, r: int) -> int:
     """Count downsets of the precedence poset by brute force over subsets."""
     elements = [

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import weakref
 from math import comb
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import run_in_fresh_interpreter, stabilize_by_shifts
 from hyperext.cli import _parse_sweep_config, main
 from hyperext.core import Hypergraph, serialize
 from hyperext.extremal import build_extremal_family
+from hyperext.verifier import VerificationReport
 
 
 def run(capsys, *argv):
@@ -291,6 +293,39 @@ class TestVerify:
         assert [json.loads(l)["status"] for l in out.splitlines()] == [
             "invariant-broken"
         ] * 2
+
+    @pytest.mark.parametrize(
+        "statuses, code",
+        [
+            (["confirmed", "bound-not-yet-active", "confirmed"], 0),
+            (["confirmed", "counterexample", "confirmed"], 1),
+            (["counterexample", "invariant-broken", "confirmed"], 4),
+        ],
+    )
+    def test_sweep_frees_each_printed_report(
+        self, capsys, monkeypatch, tmp_path, statuses, code
+    ):
+        from hyperext import cli
+
+        refs = []
+        alive = []  # per witness, whether it is still held when the sweep ends
+
+        def sweep(cells, jobs):
+            for (n, k, r, s), status in zip(cells, statuses):
+                witness = Hypergraph.complete(n, r)
+                refs.append(weakref.ref(witness))
+                cell = {"n": n, "k": k, "r": r, "s": s}
+                yield VerificationReport(cell, "I", 1, 1, witness, status, 1, 0)
+            alive.extend(ref() is not None for ref in refs)
+
+        monkeypatch.setattr(cli, "run_extremal_sweep", sweep)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("r=2, k=1, s=2, n=5..7\n")
+        got, out, _ = run(capsys, "verify", "sweep", "--config", str(cfg))
+        assert got == code
+        assert [json.loads(l)["status"] for l in out.splitlines()] == statuses
+        # only the last report, still the loop's and the sweep's, is held
+        assert alive == [False, False, True]
 
     def test_sweep_writes_a_column_before_the_next_walk(self, monkeypatch, tmp_path):
         from hyperext import verifier

@@ -1,7 +1,9 @@
 """Guards on the package as a whole: what ``import hyperext`` loads,
-that no function of it recurses, and how its records behave."""
+that no function of it recurses or is left unused, and how its records
+behave."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,68 @@ def test_the_scan_sees_direct_nested_and_method_recursion():
         "    return f(1)\n"
     )
     assert self_calls(tree, "mod") == {"mod.f", "mod.g.h", "mod.C.m"}
+
+
+def _uses(node: ast.AST) -> Counter:
+    """How often each name is used under ``node``: as a name, as an
+    attribute, or imported by ``from ... import``."""
+    return Counter(
+        getattr(n, "id", None) or getattr(n, "attr", None) or n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    )
+
+
+def orphans(trees: dict[str, ast.Module]) -> set[str]:
+    """The private (underscore, non-dunder) functions and classes defined
+    in ``trees``, keyed by module name, that nothing outside their own
+    body uses, as ``module.name``."""
+    total = sum((_uses(tree) for tree in trees.values()), Counter())
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                )
+                and node.name.startswith("_")
+                and not node.name.endswith("__")
+                and total[node.name] == _uses(node)[node.name]
+            ):
+                found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_no_private_helper_is_left_unused():
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert orphans(trees) == set()
+
+
+def test_the_orphan_scan_sees_unused_helpers_in_any_module():
+    trees = {
+        "a": ast.parse(
+            "def _called():\n"
+            "    return 1\n"
+            "def _only_itself(xs):\n"
+            "    return [_only_itself(x) for x in xs]\n"
+            "def _left_behind(xs):\n"
+            "    yield from xs\n"
+            "class _Shape:\n"
+            "    def _method(self):\n"
+            "        return _called()\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+        ),
+        "b": ast.parse(
+            "from .a import _Shape\n"
+            "def public():\n"
+            "    return _Shape()._method()\n"
+        ),
+    }
+    assert orphans(trees) == {"a._only_itself", "a._left_behind"}
 
 
 def test_import_leaves_the_random_generators_unloaded():

@@ -4,10 +4,10 @@ from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     avoiding,
-    dominated_sets_recursive,
     enumerate_stable_pushing_every_child,
     hosts,
     lift_by_covers,
@@ -19,8 +19,9 @@ from conftest import (
     project,
     shift_by_edges,
     stabilize_by_shifts,
+    stable_by_dominated_sets,
 )
-from hyperext import verifier
+from hyperext import shifting, verifier
 from hyperext.cliques import clique_census, count_cliques
 from hyperext.core import (
     Budget,
@@ -34,7 +35,6 @@ from hyperext.extremal import build_extremal_family
 from hyperext.matchings import matching_number
 from hyperext.randgen import random_hypergraph
 from hyperext.shifting import (
-    _dominated_sets,
     colex_order,
     enumerate_stable,
     fibre,
@@ -213,15 +213,38 @@ class TestStableChecks:
         assert is_stable(Hypergraph(5, 2, ()))
         assert is_stable(Hypergraph.complete(5, 3))
 
-    def test_dominated_sets_in_the_recursion_order(self):
-        rng = random.Random(29)
-        for _ in range(300):
-            n = rng.randint(0, 10)
-            xs = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
-            assert list(_dominated_sets(xs)) == list(dominated_sets_recursive(xs))
+    @given(h=hosts(), stabilized=st.booleans())
+    @example(h=Hypergraph(5, 2, ()), stabilized=False)
+    @example(h=Hypergraph.from_edges(4, 1, [(3,)]), stabilized=False)
+    @example(h=Hypergraph.from_edges(4, 1, [(1,), (2,)]), stabilized=False)
+    @example(h=Hypergraph.complete(6, 6), stabilized=False)
+    @example(h=Hypergraph(6, 6, ()), stabilized=False)
+    def test_covers_check_matches_the_full_definition(self, h, stabilized):
+        if stabilized:
+            h = stabilize(h).result
+        assert stable_closure_check(h) == stable_by_dominated_sets(h)
+
+    def test_wide_family_asks_one_covers_per_edge(self, monkeypatch):
+        # complete(16, 8) has 12,870 edges, and all of them lie below its
+        # top edge; the check lists only each edge's covers, once
+        asked = []
+        covers = shifting._covers
+
+        def spy(e):
+            asked.append(e)
+            return covers(e)
+
+        monkeypatch.setattr(shifting, "_covers", spy)
+        h = Hypergraph.complete(16, 8)
+        assert stable_closure_check(h)
+        assert asked == list(h.edges)
+        # without [8], the first edge asked, [9] minus 8, misses a cover
+        asked.clear()
+        assert not stable_closure_check(Hypergraph._make(16, 8, h.edges[1:]))
+        assert asked == [h.edges[1]] == [mask_from_labels([1, 2, 3, 4, 5, 6, 7, 9])]
 
     def test_edge_wider_than_the_recursion_limit(self):
-        # one edge [n]: the closure check walks n labels deep
+        # one edge [n], n labels wide: neither check recurses per label
         n = sys.getrecursionlimit() + 100
         h = Hypergraph.complete(n, n)
         assert is_stable(h)
