@@ -36,6 +36,10 @@ subtree that holds no maximal family and spends one node of its
 ``core.Budget`` on each family it reaches; its docstring gives the
 order and the proof.  A child whose skipped chain already rules it out
 is never pushed, nor is any later sibling, so no node is spent on it.
+A family's upper bound leaves out the r-sets above each r-set it
+skipped or rejected, and above each r-set it already blocks, found by
+forward checking: every blocker set is filed before the walk under its
+colex-last r-set, and asked about at the node that adds that r-set.
 
 ``lift(g, n)`` extends a stable family g on [t] to the largest stable
 family on [n] whose trace on [t] is g: an r-set e of [n] is in it iff
@@ -348,11 +352,19 @@ def enumerate_stable(
     larger child.  Call those ``skipped``; each lies before D's last
     edge, and none is ever added below D.
 
-    The walk skips each subtree that holds no maximal family.  Let S(D)
-    be the r-sets x with y ≺ x for some y that is skipped or was
-    rejected on the way to D, at D included, and U(D) the other r-sets,
-    a downset.  No family below D holds a skipped or a rejected r-set,
-    and each is a downset, so each lies in U(D).  So if a skipped s may join U(D), it
+    The walk skips each subtree that holds no maximal family.  Let
+    top(p) be the colex index of the last r-set of a blocker set p, and
+    call an r-set y blocked at D if D holds a blocker set p of y with
+    top(p) < y (the empty set, held by every family, has top -1).  Let
+    S(D) be the r-sets x with y ≺ x for some y that is skipped or was
+    rejected on the way to D, at D included, or is blocked at D, and
+    U(D) the other r-sets, a downset.  No family below D holds a
+    skipped or a rejected r-set.  Nor does it hold a blocked y: it
+    holds p, and each r-set added below D joins a family that holds D,
+    hence p, which keeps y out.  Each family is a downset, so each lies
+    in U(D).  And S(D) misses D: a skipped or rejected r-set was never
+    added, and a blocked y would have joined after top(p), so a family
+    that held p already.  So if a skipped s may join U(D), it
     may join every F below D, which holds s's covers, and no such F is
     maximal: D is neither yielded nor expanded.  Otherwise, if D has no
     accepted candidate, U(D) = D and D is maximal.  Take the r-sets x
@@ -365,18 +377,36 @@ def enumerate_stable(
     order above.
 
     The walk is a depth-first stack of nodes, none changed once made.
-    Each node carries its own D, S(D) as a bit set, its candidates and
-    its skipped chain: the r-sets skipped on the way to D, newest first,
-    as pairs (r-set, rest).  A node adds to its S(D) the r-sets above
-    each candidate it rejects; a child starts from that and adds the
-    r-sets above each candidate it skips, and its chain puts those
-    candidates, newest first, ahead of D's.  The last child is pushed
-    last, so it is popped first.  Skipped r-sets are asked newest first,
-    stopping at the first acceptance; an r-set once rejected needs no
-    second question, since the family only grows.  Two blocker rules
+    Each node carries its own D, S(D) as a bit set, its candidates, its
+    skipped chain (the r-sets skipped on the way to D, newest first, as
+    pairs (r-set, rest)) and the r-set it added.  A node adds to its
+    S(D) the r-sets above each candidate it rejects; a child starts
+    from that and adds the r-sets above each candidate it skips, and
+    its chain puts those candidates, newest first, ahead of D's.  The
+    last child is pushed last, so it is popped first.  Skipped r-sets
+    are asked newest first, stopping at the first acceptance; an r-set
+    once rejected needs no second question, since the family only
+    grows.  Two blocker rules
     that build the same families may answer differently against U(D),
     which need not be one of them; the one that lets more join there
     prunes more.
+
+    The blocked r-sets come from forward checking (Haralick and
+    Elliott, "Increasing tree search efficiency for constraint
+    satisfaction problems", 1980): an r-set leaves U as soon as the
+    family rules it out, not only once all its covers are in and it is
+    asked about as a candidate.  Before the walk, each blocker set p of
+    each r-set y with top(p) < y is filed under top(p), with the r-sets
+    above y.  A path adds r-sets in increasing colex index, so p first
+    lies in a family on it at the node that adds top(p), and it is
+    enough to ask there: a node that added the r-set j, when popped,
+    adds to its S the r-sets above y for each set p filed under j that
+    its D holds, and its descendants inherit them with its S.  The rule
+    top(p) < y keeps S(D) off D.  A blocker set of an r-set already in
+    D may complete later, since a rule is asked only when an r-set
+    joins; without the rule that r-set and all above it would leave
+    U(D), which would then miss part of D and let the skipped-chain test
+    cut maximal families.
 
     The skipped-chain test runs when a child is pushed, not only when
     it is popped.  The child C adding accepted[pos], pos >= 1, starts
@@ -384,16 +414,18 @@ def enumerate_stable(
     chain against the U they give before it pushes C.  If a skipped s
     may join it, neither C nor any later sibling is pushed, and no
     maximal family is lost.  A set that may join U may join every
-    U' ⊆ U: a blocker set held by U' is held by U.  C's own rejections
-    only grow its S, so the U it is popped with lies in the U it was
-    pushed with, s may join that too, and C would be cut when popped.
-    A later sibling starts from a larger S, hence a smaller U, and from
-    a chain that holds C's, s included, so it would be cut as well.
-    When a node is popped, the test runs again only if its own
-    rejections grew its S.  Otherwise U and the chain are those it was
-    pushed with, which passed: at the push for pos >= 1, and at the
-    parent's pop for child 0, which starts from the parent's S and
-    chain after the parent's rejections.  The root's chain is empty.
+    U' ⊆ U: a blocker set held by U' is held by U.  C's own blocked and
+    rejected r-sets only grow its S, so the U it is popped with lies in
+    the U it was pushed with, s may join that too, and C would be cut
+    when popped.  A later sibling starts from a larger S, hence a
+    smaller U, and from a chain that holds C's, s included, so it would
+    be cut as well.  When a node is popped, the test runs again only if
+    its own blocked or rejected r-sets grew its S; the blocked ones
+    must count, as they are what cuts most subtrees.  Otherwise U and
+    the chain are those it was pushed with, which passed: at the push
+    for pos >= 1, and at the parent's pop for child 0, which starts
+    from the parent's S and chain after the parent's rejections.  The
+    root's chain is empty.
 
     ``budget`` is spent once per family the walk pushes, yielded or
     not, when it is popped and before its candidates are asked about;
@@ -403,10 +435,14 @@ def enumerate_stable(
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     budget = budget or Budget()
     elements, position, below, up, _, above = colex_order(n, r)
-    # blocked[i]: the blocker sets of element i as bits, asked once
-    # before the walk; OR sets the bit of a repeated mask once
+    # blocked[x]: the blocker sets of element x as bits, asked once
+    # before the walk; OR sets the bit of a repeated mask once.
+    # filed[j]: (p, above[x]) for each such p whose top index j is below
+    # x; an empty p has top index -1, so it lands in the extra last
+    # slot, which the root, whose added index is -1, asks
     blocked = []
-    for e in elements:
+    filed: list[list[tuple[int, int]]] = [[] for _ in range(len(elements) + 1)]
+    for x, e in enumerate(elements):
         sets = []
         for p in blockers(e):
             bits = 0
@@ -417,6 +453,9 @@ def enumerate_stable(
                     )
                 bits |= 1 << position[f]
             sets.append(bits)
+            top = bits.bit_length() - 1
+            if top < x:
+                filed[top].append((bits, above[x]))
         blocked.append(sets)
 
     def joins(family: int, i: int) -> bool:
@@ -433,13 +472,17 @@ def enumerate_stable(
             skipped = skipped[1]
         return bool(skipped)
 
-    # a node: its family, S(family), its candidates and the r-sets
-    # skipped on the way to it, a chain (r_set, rest) newest first
-    stack = [(0, 0, [i for i, bits in enumerate(below) if not bits], ())]
+    # a node: its family, S(family), its candidates, the r-sets
+    # skipped on the way to it, a chain (r_set, rest) newest first, and
+    # the r-set it added, -1 at the root
+    stack = [(0, 0, [i for i, bits in enumerate(below) if not bits], (), -1)]
     while stack:
-        family, shadow, candidates, skipped = stack.pop()
+        family, shadow, candidates, skipped, added = stack.pop()
         budget.spend()
         pushed_with = shadow  # the chain passed against this S
+        for p, out in filed[added]:
+            if p & family == p:
+                shadow |= out
         accepted = []
         for c in candidates:
             if joins(family, c):
@@ -460,7 +503,7 @@ def enumerate_stable(
             child = family | 1 << j
             fresh = [u for u in up[j] if below[u] & child == below[u]]
             stack.append(
-                (child, shadow, sorted(accepted[pos + 1:] + fresh), skipped)
+                (child, shadow, sorted(accepted[pos + 1:] + fresh), skipped, j)
             )
             shadow |= above[j]
             skipped = (j, skipped)

@@ -158,15 +158,20 @@ def stable_with_matching_at_most(
         return iter([Hypergraph.complete(n, r)])
 
     patterns = perfect_matching_patterns(r, k)
-    vertices = {f: list(iter_bits(f)) for p in patterns for f in p}
-    span = (1 << t) - 1
+    # the distinct pattern edges as vertex lists, and each pattern as
+    # the positions of its edges among them
+    edges = sorted({f for p in patterns for f in p})
+    vertices = [list(iter_bits(f)) for f in edges]
+    position = {f: i for i, f in enumerate(edges)}
+    shapes = [[position[f] for f in p] for p in patterns]
+    bits = [1 << v for v in range(t)]
 
     def carried(e: int) -> list[tuple[int, ...]]:
         """The patterns carried onto [t] - e by the increasing map, each
         edge that patterns share carried once."""
-        onto = [1 << v for v in iter_bits(span & ~e)]
-        image = {f: sum([onto[v] for v in vs]) for f, vs in vertices.items()}
-        return [tuple([image[f] for f in p]) for p in patterns]
+        onto = [b for b in bits if not e & b]
+        images = [sum([onto[v] for v in vs]) for vs in vertices]
+        return [tuple([images[i] for i in shape]) for shape in shapes]
 
     walk = enumerate_stable(t, r, carried, budget=budget)
     if n == t:

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 from hypothesis import strategies as st
 
 import hyperext
+from hyperext import verifier
 from hyperext.cliques import count_cliques, enumerate_cliques
 from hyperext.core import (
     Budget,
@@ -42,6 +43,7 @@ from hyperext.matchings import (
     RainbowMatching,
     find_matching,
     has_matching_at_most,
+    perfect_matching_patterns,
 )
 from hyperext.shifting import ShiftTrace, colex_order, precedes, shift
 
@@ -606,6 +608,42 @@ def avoiding(blockers):
         return not any(h.edge_set.issuperset(p) for p in lists[e])
 
     return pred
+
+
+def column_blocker_rule(monkeypatch, r: int, k: int):
+    """The blocker rule ``verifier.stable_with_matching_at_most`` hands
+    the walk on [t], t = r(k+1), caught through ``monkeypatch`` by a
+    walk that keeps it and yields nothing."""
+    rules = []
+
+    def walk(n, size, blockers, **kwargs):
+        rules.append(blockers)
+        return iter(())
+
+    with monkeypatch.context() as patched:
+        patched.setattr(verifier, "enumerate_stable", walk)
+        list(verifier.stable_with_matching_at_most(r * (k + 1), r, k))
+    (blockers,) = rules
+    return blockers
+
+
+def carried_by_image_dict(r: int, k: int):
+    """The blocker rule ``verifier.stable_with_matching_at_most`` hands
+    the walk on [t], t = r(k+1), as first written: for each r-set e, the
+    vertices of [t] - e read by ``iter_bits``, a dict from each pattern
+    edge to its image under the increasing map onto them, and each
+    pattern of ``perfect_matching_patterns(r, k)`` carried through it."""
+    t = r * (k + 1)
+    patterns = perfect_matching_patterns(r, k)
+    vertices = {f: list(iter_bits(f)) for p in patterns for f in p}
+    span = (1 << t) - 1
+
+    def carried(e: int) -> list[tuple[int, ...]]:
+        onto = [1 << v for v in iter_bits(span & ~e)]
+        image = {f: sum([onto[v] for v in vs]) for f, vs in vertices.items()}
+        return [tuple([image[f] for f in p]) for p in patterns]
+
+    return carried
 
 
 def disjoint_edge_sets(n: int, r: int, size: int) -> list[tuple[int, ...]]:

@@ -1,6 +1,7 @@
 import random
 import sys
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     avoiding,
+    column_blocker_rule,
     enumerate_stable_pushing_every_child,
     hosts,
     lift_by_covers,
@@ -21,7 +23,7 @@ from conftest import (
     stabilize_by_shifts,
     stable_by_dominated_sets,
 )
-from hyperext import shifting, verifier
+from hyperext import shifting
 from hyperext.cliques import clique_census, count_cliques
 from hyperext.core import (
     Budget,
@@ -397,17 +399,8 @@ def _column_walks(monkeypatch, k, r):
     """The verifier's walk on [r(k+1)] for ν <= k, as ``_walk`` gives it,
     from ``enumerate_stable`` and from the walk that pushes every child,
     both handed the verifier's own blocker rule."""
-    rules = []
-
-    def capture(n, size, blockers, **kwargs):
-        rules.append(blockers)
-        return iter(())
-
     t = r * (k + 1)
-    monkeypatch.setattr(verifier, "enumerate_stable", capture)
-    list(verifier.stable_with_matching_at_most(t, r, k))
-    monkeypatch.undo()
-    (blockers,) = rules
+    blockers = column_blocker_rule(monkeypatch, r, k)
     return (
         _walk(t, r, blockers),
         _walk(t, r, blockers, enumerate_stable_pushing_every_child),
@@ -453,6 +446,22 @@ def _conflict_blockers(n, r, seed):
         return [(f,) for f in elements if frozenset((e, f)) in conflicts]
 
     return blockers
+
+
+def _random_blockers(n, r, seed):
+    """Each r-set gets up to two blocker sets of one to three random
+    r-sets of [n], drawn from all of them: a set may hold r-sets after
+    its own, so it can complete once that r-set is in the family."""
+    elements = sorted(r_subsets(n, r))
+    rng = random.Random(seed)
+    rule = {
+        e: [
+            tuple(rng.sample(elements, rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 2))
+        ]
+        for e in elements
+    }
+    return rule.__getitem__
 
 
 class TestEnumerateStable:
@@ -546,11 +555,26 @@ class TestEnumerateStable:
             _assert_same_stream_as_oracle(n, r, _conflict_blockers(n, r, seed))
 
     @pytest.mark.parametrize("n, r", STREAM_GRID)
+    def test_random_blocker_rules_give_the_per_element_stream(self, n, r):
+        # a family blocks an r-set y by a set p only if p's colex-last
+        # r-set comes before y; a set that completes after y, once y is
+        # in the family, must not take y out of the walk's upper bound
+        later = 0
+        for seed in range(10):
+            blockers = _random_blockers(n, r, seed)
+            later += sum(
+                max(p) > e for e in r_subsets(n, r) for p in blockers(e)
+            )
+            _assert_same_stream_as_oracle(n, r, blockers)
+        assert later
+
+    @pytest.mark.parametrize("n, r", STREAM_GRID)
     def test_maximal_walk_reaches_no_more_than_the_full_walk(self, n, r):
         rules = [_no_blockers]
         rules += [nu_blockers_from_scratch(n, r, k) for k in (1, 2)]
         rules += [nu_blockers_through(n, r, k) for k in (1, 2)]
         rules += [_conflict_blockers(n, r, seed) for seed in range(4)]
+        rules += [_random_blockers(n, r, seed) for seed in range(4)]
         for blockers in rules:
             every = sum(1 for _ in naive_stable_families(n, r, avoiding(blockers)))
             spent = _walk(n, r, blockers)[1]
@@ -605,7 +629,7 @@ class TestEnumerateStable:
 
     @pytest.mark.parametrize(
         "r, k, maximal, reached, reached_pushing_every_child",
-        [(3, 2, 68, 2031, 2761), (4, 1, 72, 812, 1220), (2, 5, 6, 236, 344),
+        [(3, 2, 68, 906, 2761), (4, 1, 72, 812, 1220), (2, 5, 6, 236, 344),
          (3, 1, 6, 28, 33)],
     )
     def test_families_reached_on_a_column(
@@ -615,14 +639,27 @@ class TestEnumerateStable:
         assert (len(stream), spent) == (maximal, reached)
         assert spent_every == reached_pushing_every_child
 
-    def test_maximal_walk_on_the_span_reaches_2031_of_11720_families(self):
+    def test_frontier_column_prefix_equals_pushing_every_child(self, monkeypatch):
+        # [12] for (3, 3): the first 100 maximal families, and the
+        # families each walk reaches to yield them
+        blockers = column_blocker_rule(monkeypatch, 3, 3)
+        prefixes = []
+        for walk in (enumerate_stable, enumerate_stable_pushing_every_child):
+            budget = Budget(10**9)
+            stream = islice(walk(12, 3, blockers, budget=budget), 100)
+            prefixes.append(([h.edges for h in stream], budget.limit - budget.left))
+        (tops, spent), (oracle_tops, oracle_spent) = prefixes
+        assert len(tops) == 100 and tops == oracle_tops
+        assert (spent, oracle_spent) == (4951, 33241)
+
+    def test_maximal_walk_on_the_span_reaches_906_of_11720_families(self):
         # ν <= 2 on [9] = [r(k+1)], r = 3.  The verifier's rule lets e join
         # the upper bound of a node even where that has ν > 2, so it
         # prunes more than the from-scratch test, which rejects there
         scratch = nu_blockers_from_scratch(9, 3, 2)
         tops, spent = _walk(9, 3, nu_blockers_through(9, 3, 2))
-        assert (len(tops), spent) == (68, 2031)
-        assert _walk(9, 3, scratch) == (tops, 2907)
+        assert (len(tops), spent) == (68, 906)
+        assert _walk(9, 3, scratch) == (tops, 1096)
         pushing_every = _walk(9, 3, scratch, enumerate_stable_pushing_every_child)
         assert pushing_every == (tops, 3509)
         every = naive_stable_families(9, 3, nu_at_most_from_scratch(2))

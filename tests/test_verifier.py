@@ -12,7 +12,9 @@ from conftest import (
     all_families_prop32_cell,
     all_leaves_cell,
     avoiding,
+    carried_by_image_dict,
     clique_edges,
+    column_blocker_rule,
     every_graph_cell,
     hosts,
     naive_matching_number,
@@ -149,17 +151,8 @@ class TestStableWithMatching:
         # against a ν search on the edges that miss e: every stable
         # family, passing or not, with every r-set outside it whose
         # covers it holds
-        asks = []
-
-        def walk(n, size, blockers, **kwargs):
-            asks.append(blockers)
-            return iter(())
-
-        monkeypatch.setattr(verifier, "enumerate_stable", walk)
         t = r * (k + 1)
-        list(stable_with_matching_at_most(t, r, k))
-        (blockers,) = asks
-        fits = avoiding(blockers)
+        fits = avoiding(column_blocker_rule(monkeypatch, r, k))
         universe = sorted(r_subsets(t, r))
         below = {
             e: [f for f in universe if f != e and precedes(f, e)] for e in universe
@@ -177,6 +170,20 @@ class TestStableWithMatching:
                     assert fits(h, e) == want, (h, e)
                     asked += 1
         assert asked == questions
+
+    @pytest.mark.parametrize(
+        "r, k",
+        [
+            (1, 0), (1, 3), (2, 0), (2, 1), (2, 2), (2, 5), (3, 0), (3, 1),
+            (3, 2), (3, 3), (4, 1), (4, 2), (5, 1),
+        ],
+    )
+    def test_carried_patterns_equal_the_image_dict(self, monkeypatch, r, k):
+        # every r-set of [t], the same blocker sets in the same order
+        carried = column_blocker_rule(monkeypatch, r, k)
+        oracle = carried_by_image_dict(r, k)
+        universe = sorted(r_subsets(r * (k + 1), r))
+        assert [carried(e) for e in universe] == [oracle(e) for e in universe]
 
     @pytest.mark.parametrize("n, r", [(1, 1), (4, 1), (3, 3), (7, 3), (8, 4)])
     def test_k_zero_leaves_only_the_empty_family(self, n, r):
@@ -516,10 +523,10 @@ class TestMaximalOnlySearch:
 
     @pytest.mark.parametrize("n", [9, 12])
     def test_budget_a_cell_needs_does_not_depend_on_n(self, n):
-        # above the span r(k+1) = 9 the walk still runs on [9]: 2,031
+        # above the span r(k+1) = 9 the walk still runs on [9]: 906
         # families, and its ν test runs no search; the witness's re-check
         # on [n] takes one node at n = 9 and n = 12
-        rep = _assert_budget_needed(verify_extremal_cell, (n, 2, 3, 5), 2032)
+        rep = _assert_budget_needed(verify_extremal_cell, (n, 2, 3, 5), 907)
         assert rep.nodes == 68
 
     @pytest.mark.parametrize(
@@ -669,9 +676,9 @@ class TestProposition:
             verify_proposition_3_2(6, 1, 2, 2)  # s below k+r
 
     def test_budget_covers_the_walk_and_its_nu_searches(self):
-        # the same walk as the extremal cell (9, 2, 3, 5), 2,031 families,
+        # the same walk as the extremal cell (9, 2, 3, 5), 906 families,
         # without the witness's re-check
-        _assert_budget_needed(verify_proposition_3_2, (9, 2, 3, 5), 2031)
+        _assert_budget_needed(verify_proposition_3_2, (9, 2, 3, 5), 906)
 
 
 def test_benchmark_trace_hooks_resolve_on_the_verifier():
