@@ -248,7 +248,7 @@ def _cmd_rainbow(args) -> int:
             )
     n = max(h.n for h in members)
     members = tuple(
-        core.Hypergraph._make(n, r, h.edges) if h.n != n else h for h in members
+        core.Hypergraph(n, r, h.edges) if h.n != n else h for h in members
     )
     fam = ColoredFamily(n, r, members)
     if args.check_hypothesis:

@@ -60,19 +60,6 @@ class Budget:
             )
 
 
-def _immutable(self, name: str, *value) -> None:
-    """``__setattr__`` and ``__delattr__`` of the immutable classes."""
-    raise AttributeError(
-        f"{type(self).__name__} is immutable: cannot set or delete {name!r}"
-    )
-
-
-# the immutable classes set their fields through object's own
-# ``__setattr__``, since theirs raises; an update of ``__dict__`` would
-# be quicker but gives each instance a full dict, over twice the size
-_set = object.__setattr__
-
-
 def mask_from_labels(labels: Iterable[int]) -> int:
     """Bitmask for a set of 1-indexed vertex labels."""
     mask = 0
@@ -119,35 +106,63 @@ def r_subsets(n: int, r: int) -> Iterator[int]:
         yield m
 
 
-class Hypergraph:
+class _Record:
+    """An immutable record whose fields ``_fields`` names, in order.
+
+    Two records are equal when they are of one class and their fields
+    are, and hash and repr read the same fields.  Each subclass checks
+    its values in its own ``__init__`` and hands them to ``_set_fields``,
+    which sets them through object's ``__setattr__``, since the record's
+    own raises.  An update of ``__dict__`` would be quicker but gives
+    each instance a full dict, over twice the size.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot set or delete {name!r}"
+        )
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+
+class Hypergraph(_Record):
     """An r-uniform hypergraph on vertices 1..n with a canonical edge list.
 
     ``edges`` holds bitmasks in ascending numeric order (= colex order of
-    the vertex sets).  Instances are immutable and safe to share.  Two
-    are equal when their ``n``, ``r`` and ``edges`` are.
+    the vertex sets).  The constructor takes them as given; the
+    ``from_*`` builders check and sort them.  Instances are immutable
+    and safe to share.  Two are equal when their ``n``, ``r`` and
+    ``edges`` are.
     """
 
+    _fields = ("n", "r", "edges")
     n: int
     r: int
     edges: tuple[int, ...]
 
     def __init__(self, n: int, r: int, edges: tuple[int, ...]):
-        _set(self, "n", n)
-        _set(self, "r", r)
-        _set(self, "edges", edges)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.r, self.edges) == (other.n, other.r, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.r, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Hypergraph(n={self.n!r}, r={self.r!r}, edges={self.edges!r})"
+        self._set_fields(n, r, edges)
 
     @classmethod
     def from_edge_masks(
@@ -191,11 +206,6 @@ class Hypergraph:
     def complete(cls, n: int, r: int) -> "Hypergraph":
         return cls.from_edge_masks(n, r, r_subsets(n, r))
 
-    @classmethod
-    def _make(cls, n: int, r: int, sorted_masks: tuple[int, ...]) -> "Hypergraph":
-        """Unchecked constructor for callers that guarantee canonical form."""
-        return cls(n, r, sorted_masks)
-
     @cached_property
     def edge_set(self) -> frozenset[int]:
         return frozenset(self.edges)
@@ -215,13 +225,14 @@ class Hypergraph:
         return mask in self.edge_set
 
 
-class ColoredFamily:
+class ColoredFamily(_Record):
     """An ordered list of r-graphs F_1..F_k on a common vertex set [n].
 
     Instances are immutable; two are equal when their ``n``, ``r`` and
     ``members`` are.
     """
 
+    _fields = ("n", "r", "members")
     n: int
     r: int
     members: tuple[Hypergraph, ...]
@@ -235,22 +246,7 @@ class ColoredFamily:
                     f"member {i + 1} has (n, r) = ({h.n}, {h.r}), "
                     f"expected ({n}, {r})"
                 )
-        _set(self, "n", n)
-        _set(self, "r", r)
-        _set(self, "members", members)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.r, self.members) == (other.n, other.r, other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.r, self.members))
-
-    def __repr__(self) -> str:
-        return f"ColoredFamily(n={self.n!r}, r={self.r!r}, members={self.members!r})"
+        self._set_fields(n, r, members)
 
     @property
     def k(self) -> int:
@@ -264,7 +260,7 @@ def induced_subhypergraph(h: Hypergraph, s_mask: int) -> Hypergraph:
     # after filling, and CPython then parks it on the free list of its new
     # size, where a caller that builds many of them can hold megabytes
     kept = tuple([e for e in h.edges if e & ~s_mask == 0])
-    return Hypergraph._make(h.n, h.r, kept)
+    return Hypergraph(h.n, h.r, kept)
 
 
 def delete_vertices(h: Hypergraph, s_mask: int) -> Hypergraph:

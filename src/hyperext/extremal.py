@@ -15,7 +15,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .cliques import clique_census
-from .core import ColoredFamily, Hypergraph, _immutable, _set, r_subsets
+from .core import ColoredFamily, Hypergraph, _Record, r_subsets
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -28,12 +28,13 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-class ExtremalParams:
+class ExtremalParams(_Record):
     """Parameter cell (n, k, r, s) with derived level and regime tag.
 
     Instances are immutable; two are equal when their fields are.
     """
 
+    _fields = ("n", "k", "r", "s")
     n: int
     k: int
     r: int
@@ -44,25 +45,7 @@ class ExtremalParams:
             raise ValueError("n, k, r, s must be positive")
         if s < r:
             raise ValueError(f"need s >= r, got s={s}, r={r}")
-        _set(self, "n", n)
-        _set(self, "k", k)
-        _set(self, "r", r)
-        _set(self, "s", s)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.k, self.r, self.s) == (other.n, other.k, other.r, other.s)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.k, self.r, self.s))
-
-    def __repr__(self) -> str:
-        return (
-            f"ExtremalParams(n={self.n!r}, k={self.k!r}, r={self.r!r}, s={self.s!r})"
-        )
+        self._set_fields(n, k, r, s)
 
     @property
     def a(self) -> int:
@@ -99,7 +82,7 @@ def build_extremal_family(n: int, k: int, r: int, a: int) -> Hypergraph:
     head_mask = (1 << head) - 1
     masks = [m for m in r_subsets(n, r) if (m & head_mask).bit_count() >= a]
     masks.sort()
-    return Hypergraph._make(n, r, tuple(masks))
+    return Hypergraph(n, r, tuple(masks))
 
 
 def closed_form_clique_count(n: int, k: int, r: int, a: int, s: int) -> int:

@@ -20,7 +20,7 @@ def random_hypergraph(
         density = rng.random()
     masks = [m for m in r_subsets(n, r) if rng.random() < density]
     masks.sort()
-    return Hypergraph._make(n, r, tuple(masks))
+    return Hypergraph(n, r, tuple(masks))
 
 
 def random_family_above_edge_threshold(
@@ -42,5 +42,5 @@ def random_family_above_edge_threshold(
         size = rng.randint(threshold + 1, len(universe))
         masks = rng.sample(universe, size)
         masks.sort()
-        members.append(Hypergraph._make(n, r, tuple(masks)))
+        members.append(Hypergraph(n, r, tuple(masks)))
     return ColoredFamily(n, r, tuple(members))

@@ -37,9 +37,11 @@ subtree that holds no maximal family and spends one node of its
 order and the proof.  A child whose skipped chain already rules it out
 is never pushed, nor is any later sibling, so no node is spent on it.
 A family's upper bound leaves out the r-sets above each r-set it
-skipped or rejected, and above each r-set it already blocks, found by
-forward checking: every blocker set is filed before the walk under its
+skipped, and above each r-set it already blocks, found by forward
+checking: every blocker set is filed before the walk under its
 colex-last r-set, and asked about at the node that adds that r-set.
+A candidate is accepted iff that bound still holds it, one bit test, so
+forward checking is the walk's one test of a blocked r-set.
 
 ``lift(g, n)`` extends a stable family g on [t] to the largest stable
 family on [n] whose trace on [t] is g: an r-set e of [n] is in it iff
@@ -94,7 +96,7 @@ def shift(h: Hypergraph, i: int, j: int) -> Hypergraph:
     if not moves:
         return h
     flip = ibit | jbit
-    return Hypergraph._make(
+    return Hypergraph(
         h.n, h.r, tuple(sorted([e ^ flip if e in moves else e for e in h.edges]))
     )
 
@@ -150,7 +152,7 @@ def stabilize(h: Hypergraph) -> ShiftTrace:
                 moved_this_round = True
         if not moved_this_round:
             break
-    result = Hypergraph._make(n, h.r, tuple(sorted(present)))
+    result = Hypergraph(n, h.r, tuple(sorted(present)))
     return ShiftTrace(tuple(apps), rounds, result)
 
 
@@ -294,7 +296,7 @@ def lift(g: Hypergraph, n: int) -> Hypergraph:
     if n < t:
         raise ValueError(f"need t <= n, got t={t}, n={n}")
     edges = [e for f in g.edges for e in fibre(f, t, n)]
-    return Hypergraph._make(n, g.r, tuple(sorted(edges)))
+    return Hypergraph(n, g.r, tuple(sorted(edges)))
 
 
 def maximal_edges(h: Hypergraph) -> list[int]:
@@ -334,8 +336,9 @@ def enumerate_stable(
     are D plus one r-set after D's colex-last edge.  The colex-last edge
     of a downset is ≺-maximal in it, so every such family has exactly
     one parent, and the walk reaches each at most once.  D's candidates
-    are the r-sets after its last edge whose covers are all in D.  Each
-    candidate is asked about once at D, and a child inherits only the
+    are the r-sets after its last edge whose covers are all in D.  D
+    accepts a candidate iff it lies outside S(D), below, which holds iff
+    D holds none of its blocker sets; a child inherits only the
     candidates accepted at D, plus the r-sets whose last missing cover
     it adds: a rejection at D holds for every superset.
 
@@ -356,13 +359,12 @@ def enumerate_stable(
     top(p) be the colex index of the last r-set of a blocker set p, and
     call an r-set y blocked at D if D holds a blocker set p of y with
     top(p) < y (the empty set, held by every family, has top -1).  Let
-    S(D) be the r-sets x with y ≺ x for some y that is skipped or was
-    rejected on the way to D, at D included, or is blocked at D, and
-    U(D) the other r-sets, a downset.  No family below D holds a
-    skipped or a rejected r-set.  Nor does it hold a blocked y: it
-    holds p, and each r-set added below D joins a family that holds D,
-    hence p, which keeps y out.  Each family is a downset, so each lies
-    in U(D).  And S(D) misses D: a skipped or rejected r-set was never
+    S(D) be the r-sets x with y ≼ x for some y that is skipped on the
+    way to D or is blocked at D, and U(D) the other r-sets, a downset.
+    No family below D holds a skipped r-set.  Nor does it hold a
+    blocked y: it holds p, and each r-set added below D joins a family
+    that holds D, hence p, which keeps y out.  Each family is a downset,
+    so each lies in U(D).  And S(D) misses D: a skipped r-set was never
     added, and a blocked y would have joined after top(p), so a family
     that held p already.  So if a skipped s may join U(D), it
     may join every F below D, which holds s's covers, and no such F is
@@ -373,23 +375,24 @@ def enumerate_stable(
     whose last edge is before x; x's covers are in A, so x is a
     candidate of A or was rejected above it.  If A = D, it was
     rejected; otherwise A went on to a child after x, so x was rejected
-    or skipped at A.  So the walk yields the maximal families in the
-    order above.
+    or skipped at A.  A rejected r-set lies in the S of the node that
+    rejected it, and S only grows on the way down, so x is in S(D).  So
+    the walk yields the maximal families in the order above.
 
     The walk is a depth-first stack of nodes, none changed once made.
     Each node carries its own D, S(D) as a bit set, its candidates, its
     skipped chain (the r-sets skipped on the way to D, newest first, as
     pairs (r-set, rest)) and the r-set it added.  A node adds to its
-    S(D) the r-sets above each candidate it rejects; a child starts
-    from that and adds the r-sets above each candidate it skips, and
-    its chain puts those candidates, newest first, ahead of D's.  The
-    last child is pushed last, so it is popped first.  Skipped r-sets
-    are asked newest first, stopping at the first acceptance; an r-set
-    once rejected needs no second question, since the family only
-    grows.  Two blocker rules
-    that build the same families may answer differently against U(D),
-    which need not be one of them; the one that lets more join there
-    prunes more.
+    S(D) the r-sets above each r-set it blocks, and only then asks its
+    candidates; a child starts from that and adds the r-sets above each
+    candidate it skips, and its chain puts those candidates, newest
+    first, ahead of D's.  The last child is pushed last, so it is
+    popped first.  Skipped r-sets are asked newest first, stopping at
+    the first acceptance; an r-set once rejected needs no second
+    question, since the family only grows.  Two blocker rules that
+    build the same families may answer differently against U(D), which
+    need not be one of them; the one that lets more join there prunes
+    more.
 
     The blocked r-sets come from forward checking (Haralick and
     Elliott, "Increasing tree search efficiency for constraint
@@ -401,12 +404,27 @@ def enumerate_stable(
     lies in a family on it at the node that adds top(p), and it is
     enough to ask there: a node that added the r-set j, when popped,
     adds to its S the r-sets above y for each set p filed under j that
-    its D holds, and its descendants inherit them with its S.  The rule
-    top(p) < y keeps S(D) off D.  A blocker set of an r-set already in
-    D may complete later, since a rule is asked only when an r-set
-    joins; without the rule that r-set and all above it would leave
-    U(D), which would then miss part of D and let the skipped-chain test
-    cut maximal families.
+    its D holds, and its descendants inherit them with its S.  The
+    root, which added nothing, asks the empty sets.
+
+    So the candidate test is one bit of S(D), for any blocker rule: D
+    holds a blocker set of a candidate c iff c is in S(D).  If D holds
+    a blocker set p of c, every r-set of D comes before c, so
+    top(p) < c, and p was filed under top(p) with the r-sets above c.
+    The node on the way to D that added top(p), the root if p is
+    empty, held all of p when it was popped, and put c into the S that
+    D inherits.  Conversely, let c be in S(D) through some y ≼ c that
+    is skipped on the way to D or blocked at D.  Each r-set strictly
+    below c in ≺ lies under a cover of c, so it lies in D, and neither
+    kind of y ever lies in D; so y = c.  A node's candidates come after
+    its last edge and its skipped chain before it, so c is not skipped:
+    c is blocked, and D holds a blocker set of c.
+
+    The rule top(p) < y keeps S(D) off D.  A blocker set of an r-set
+    already in D may complete later, since a rule is asked only when an
+    r-set joins; without the rule that r-set and all above it would
+    leave U(D), which would then miss part of D and let the skipped-chain
+    test cut maximal families.
 
     The skipped-chain test runs when a child is pushed, not only when
     it is popped.  The child C adding accepted[pos], pos >= 1, starts
@@ -414,18 +432,17 @@ def enumerate_stable(
     chain against the U they give before it pushes C.  If a skipped s
     may join it, neither C nor any later sibling is pushed, and no
     maximal family is lost.  A set that may join U may join every
-    U' ⊆ U: a blocker set held by U' is held by U.  C's own blocked and
-    rejected r-sets only grow its S, so the U it is popped with lies in
-    the U it was pushed with, s may join that too, and C would be cut
-    when popped.  A later sibling starts from a larger S, hence a
-    smaller U, and from a chain that holds C's, s included, so it would
-    be cut as well.  When a node is popped, the test runs again only if
-    its own blocked or rejected r-sets grew its S; the blocked ones
-    must count, as they are what cuts most subtrees.  Otherwise U and
-    the chain are those it was pushed with, which passed: at the push
-    for pos >= 1, and at the parent's pop for child 0, which starts
-    from the parent's S and chain after the parent's rejections.  The
-    root's chain is empty.
+    U' ⊆ U: a blocker set held by U' is held by U.  C's own blocked
+    r-sets only grow its S, so the U it is popped with lies in the U it
+    was pushed with, s may join that too, and C would be cut when
+    popped.  A later sibling starts from a larger S, hence a smaller U,
+    and from a chain that holds C's, s included, so it would be cut as
+    well.  When a node is popped, the test runs again only if its own
+    blocked r-sets grew its S; they must count, as they are what cuts
+    most subtrees.  Otherwise U and the chain are those it was pushed
+    with, which passed: at the push for pos >= 1, and at the parent's
+    pop for child 0, which starts from the parent's S and chain after
+    the parent's blocked r-sets.  The root's chain is empty.
 
     ``budget`` is spent once per family the walk pushes, yielded or
     not, when it is popped and before its candidates are asked about;
@@ -436,7 +453,8 @@ def enumerate_stable(
     budget = budget or Budget()
     elements, position, below, up, _, above = colex_order(n, r)
     # blocked[x]: the blocker sets of element x as bits, asked once
-    # before the walk; OR sets the bit of a repeated mask once.
+    # before the walk and read only by the skipped-chain test; OR sets
+    # the bit of a repeated mask once.
     # filed[j]: (p, above[x]) for each such p whose top index j is below
     # x; an empty p has top index -1, so it lands in the extra last
     # slot, which the root, whose added index is -1, asks
@@ -483,18 +501,11 @@ def enumerate_stable(
         for p, out in filed[added]:
             if p & family == p:
                 shadow |= out
-        accepted = []
-        for c in candidates:
-            if joins(family, c):
-                accepted.append(c)
-            else:
-                shadow |= above[c]
+        accepted = [c for c in candidates if not shadow >> c & 1]
         if shadow != pushed_with and skips_a_joiner(shadow, skipped):
             continue  # no family from here down is maximal
         if not accepted:
-            yield Hypergraph._make(
-                n, r, tuple([elements[i] for i in iter_bits(family)])
-            )
+            yield Hypergraph(n, r, tuple([elements[i] for i in iter_bits(family)]))
         # the child adding accepted[pos] skips accepted[:pos]; the last
         # child is pushed last, so its subtree is walked first
         for pos, j in enumerate(accepted):

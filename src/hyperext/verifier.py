@@ -205,9 +205,7 @@ def _descend(
     while stack:
         top, top_value = stack.pop()
         for m in maximal_edges(top):
-            child = Hypergraph._make(
-                top.n, top.r, tuple([e for e in top.edges if e != m])
-            )
+            child = Hypergraph(top.n, top.r, tuple([e for e in top.edges if e != m]))
             if child.edges in seen:
                 continue
             seen.add(child.edges)
@@ -450,7 +448,7 @@ def verify_proposition_3_2(
         bad = sum(1 for e in core if (e & head_mask).bit_count() < a)
         violations += bad
         if bad and witness is None:
-            witness = Hypergraph._make(n, r, tuple(core))
+            witness = Hypergraph(n, r, tuple(core))
     status = CONFIRMED if violations == 0 else COUNTEREXAMPLE
     millis = int((time.monotonic() - start) * 1000)
     return VerificationReport(

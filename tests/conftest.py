@@ -430,13 +430,13 @@ def naive_stable_families(n: int, r: int, predicate=None, maximal=False):
 
     def accepts(e: int) -> bool:
         return predicate is None or predicate(
-            Hypergraph._make(n, r, tuple(included)), e
+            Hypergraph(n, r, tuple(included)), e
         )
 
     def walk(idx: int):
         if idx == len(elements):
             if not maximal or not any(accepts(e) for e in reversed(addable)):
-                yield Hypergraph._make(n, r, tuple(included))
+                yield Hypergraph(n, r, tuple(included))
             return
         e = elements[idx]
         ok = all(f in included_set for f in below[idx]) and accepts(e)
@@ -487,9 +487,7 @@ def enumerate_stable_pushing_every_child(n, r, blockers, *, budget=None):
         if rest:
             continue
         if not accepted:
-            yield Hypergraph._make(
-                n, r, tuple([elements[i] for i in iter_bits(family)])
-            )
+            yield Hypergraph(n, r, tuple([elements[i] for i in iter_bits(family)]))
         for pos, j in enumerate(accepted):
             child = family | 1 << j
             fresh = [u for u in up[j] if below[u] & child == below[u]]
@@ -523,7 +521,7 @@ def lift_by_covers(g: Hypergraph, n: int) -> Hypergraph:
             if all(c in present for c in covers):
                 edges.append(e)
                 present.add(e)
-    return Hypergraph._make(n, r, tuple(edges))
+    return Hypergraph(n, r, tuple(edges))
 
 
 def project(e: int, t: int) -> int:
@@ -558,7 +556,7 @@ def shift_by_edges(h: Hypergraph, i: int, j: int) -> Hypergraph:
         else:
             out.append(e)
     out.sort()
-    return Hypergraph._make(h.n, h.r, tuple(out))
+    return Hypergraph(h.n, h.r, tuple(out))
 
 
 def _moved_count(h: Hypergraph, shifted: Hypergraph) -> int:
@@ -590,7 +588,7 @@ def nu_at_most_from_scratch(k: int):
     """The (h, e) walk predicate that tests ν(h ∪ {e}) <= k on the whole family."""
 
     def pred(h: Hypergraph, e: int) -> bool:
-        grown = Hypergraph._make(h.n, h.r, tuple(sorted(h.edges + (e,))))
+        grown = Hypergraph(h.n, h.r, tuple(sorted(h.edges + (e,))))
         return has_matching_at_most(grown, k)
 
     return pred
@@ -733,7 +731,7 @@ def every_graph_cell(n: int, k: int, r: int, s: int) -> dict:
 def clique_edges(h: Hypergraph, s: int) -> Hypergraph:
     """h_s: the edges of ``h`` that lie in an s-clique of ``h``."""
     cliques = list(enumerate_cliques(h, s))
-    return Hypergraph._make(
+    return Hypergraph(
         h.n, h.r, tuple([e for e in h.edges if any(c & e == e for c in cliques)])
     )
 

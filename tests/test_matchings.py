@@ -421,7 +421,7 @@ def rainbow_level_entries(
     passes less k.
     """
     members = [
-        Hypergraph._make(h.n, h.r, CountingEdges(h.edges)) for h in fam.members
+        Hypergraph(h.n, h.r, CountingEdges(h.edges)) for h in fam.members
     ]
     counted = ColoredFamily(fam.n, fam.r, tuple(members))
     CountingEdges.passes = 0

@@ -251,7 +251,7 @@ RECORDS = [
     ),
 ]
 # one-field changes that must make the record unequal, for the three
-# classes whose equality is written by hand
+# classes whose equality ``core._Record`` gives from their ``_fields``
 CHANGED = {
     Hypergraph: {"n": 5, "r": 3, "edges": (3, 5)},
     ColoredFamily: {"members": (Hypergraph(4, 2, (3,)),)},

@@ -242,7 +242,7 @@ class TestStableChecks:
         assert asked == list(h.edges)
         # without [8], the first edge asked, [9] minus 8, misses a cover
         asked.clear()
-        assert not stable_closure_check(Hypergraph._make(16, 8, h.edges[1:]))
+        assert not stable_closure_check(Hypergraph(16, 8, h.edges[1:]))
         assert asked == [h.edges[1]] == [mask_from_labels([1, 2, 3, 4, 5, 6, 7, 9])]
 
     def test_edge_wider_than_the_recursion_limit(self):
@@ -293,7 +293,7 @@ class TestLift:
                     largest[trace] = h.edges
             assert len(largest) == sum(1 for _ in naive_stable_families(t, r))
             for trace, edges in largest.items():
-                got = lift(Hypergraph._make(t, r, trace), n)
+                got = lift(Hypergraph(t, r, trace), n)
                 assert (got.n, got.r, got.edges) == (n, r, edges)
 
     @pytest.mark.parametrize(
@@ -527,7 +527,7 @@ class TestEnumerateStable:
                 e
                 for e in h.edges
                 if stable_closure_check(
-                    Hypergraph._make(5, 2, tuple(f for f in h.edges if f != e))
+                    Hypergraph(5, 2, tuple(f for f in h.edges if f != e))
                 )
             ]
             assert maximal_edges(h) == removable

@@ -95,7 +95,7 @@ class TestStableWithMatching:
                         span = (1 << r * (k + 1)) - 1
                         inside = tuple([e for e in h.edges if not e & ~span])
                         assert has_matching_at_most(h, k) == has_matching_at_most(
-                            Hypergraph._make(n, r, inside), k
+                            Hypergraph(n, r, inside), k
                         ), (h, k)
                         checked += 1
         assert checked > 20000
@@ -166,7 +166,7 @@ class TestStableWithMatching:
             for e in universe:
                 if e not in h.edge_set and all(f in h.edge_set for f in covers[e]):
                     rest = tuple([f for f in h.edges if not f & e])
-                    want = has_matching_at_most(Hypergraph._make(t, r, rest), k - 1)
+                    want = has_matching_at_most(Hypergraph(t, r, rest), k - 1)
                     assert fits(h, e) == want, (h, e)
                     asked += 1
         assert asked == questions
@@ -398,7 +398,7 @@ class TestSpanTable:
         assert [h.n for h in starts] == [6, 7, 8, 9]
         for h in starts:
             trace = tuple([e for e in h.edges if not e >> 6])
-            assert h == lift(Hypergraph._make(6, 3, trace), h.n)
+            assert h == lift(Hypergraph(6, 3, trace), h.n)
 
 
 class TestNoListingOfN:
